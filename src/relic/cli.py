@@ -1,7 +1,8 @@
 """Command-line surface tying the pipeline together.
 
 Subcommands: synth, learn, learn-naive, learn-biased, crossval, count-space,
-report.  Exit codes: 0 on success, 2 on usage errors, 1 on internal errors.
+report.  Exit codes: 0 on success, 2 on usage errors (including an input file
+that is missing or does not parse), 1 on internal errors.
 RELIC_THREADS caps fold-level parallelism during cross-validation.
 """
 
@@ -15,7 +16,7 @@ from pathlib import Path
 from .data import (Dataset, SymbolizationConfig, parse_model_file,
                    saturate, write_model_file)
 from .dlab import count_space, parse_dlab, template_text
-from .errors import RelicError, UsageError
+from .errors import BiasError, ParseError, RelicError, UsageError
 from .evaluate import (ClassReport, EvaluationReport, cross_validate,
                        emit_report)
 from .learner import LearnerParams, learn_theory
@@ -24,13 +25,48 @@ from .multisource import (aggregate, biased_multisource_learn, naive_bias,
 from .synth import GeneratorConfig, cardiac_schema, generate_dataset
 
 
+def _load(path: str, parse):
+    """parse(text) of one user file; a file that cannot be read or does not
+    parse is the user's mistake, reported as a usage error."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"cannot read {path}: not text ({exc.reason})") from exc
+    try:
+        return parse(text)
+    except (ParseError, BiasError) as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
+def _parse_report(text: str) -> EvaluationReport:
+    try:
+        payload = json.loads(text)
+        report = EvaluationReport(
+            mode=payload["mode"],
+            rows=[ClassReport(**r) for r in payload["rows"]],
+            meta=payload.get("meta", {}))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"not a report written by crossval "
+                         f"({type(exc).__name__}: {exc})") from exc
+    for row in report.rows:
+        numbers = (row.tracc, row.acc, row.nodes, row.time_ms)
+        if not (isinstance(row.label, str) and isinstance(row.comp, str)
+                and all(isinstance(v, (int, float)) for v in numbers)):
+            raise ParseError(f"not a report written by crossval (row "
+                             f"{row.label!r} has a value of the wrong type)")
+    return report
+
+
 def _load_dataset(paths: list[str], mode: str) -> Dataset:
     schema = cardiac_schema(mode)
     cfg = SymbolizationConfig()
     interps = []
     labels = set()
     for path in paths:
-        for interp in parse_model_file(Path(path).read_text()):
+        for interp in _load(path, parse_model_file):
             interps.append(saturate(interp, cfg, schema))
             labels.add(interp.label)
     if not interps:
@@ -44,7 +80,7 @@ def _load_biases(pairs: list[str]) -> dict[str, object]:
         if "=" not in pair:
             raise UsageError(f"--bias expects SOURCE=FILE, got {pair!r}")
         source, path = pair.split("=", 1)
-        biases[source] = parse_dlab(Path(path).read_text())
+        biases[source] = _load(path, parse_dlab)
     return biases
 
 
@@ -79,7 +115,7 @@ def cmd_synth(args) -> int:
 
 def cmd_learn(args) -> int:
     dataset = _load_dataset(args.data, args.data_mode)
-    bias = parse_dlab(Path(args.bias).read_text())
+    bias = _load(args.bias, parse_dlab)
     pool = dataset.by_source(args.source)
     if not pool:
         raise UsageError(f"no interpretations for source {args.source}")
@@ -100,7 +136,7 @@ def cmd_learn_naive(args) -> int:
 def cmd_learn_biased(args) -> int:
     dataset = _load_dataset(args.data, args.data_mode)
     biases = _load_biases(args.bias)
-    constraints = (parse_constraints(Path(args.constraints).read_text())
+    constraints = (_load(args.constraints, parse_constraints)
                    if args.constraints else [])
     result = biased_multisource_learn(dataset, biases, constraints,
                                       _params(args))
@@ -128,7 +164,7 @@ def cmd_crossval(args) -> int:
     folds = (len(dataset.situations()) if args.folds == "loo"
              else int(args.folds))
     biases = _load_biases(args.bias) if args.bias else None
-    constraints = (parse_constraints(Path(args.constraints).read_text())
+    constraints = (_load(args.constraints, parse_constraints)
                    if args.constraints else [])
     report = cross_validate(dataset, args.cv_mode, folds, biases=biases,
                             constraints=constraints, params=_params(args),
@@ -146,16 +182,13 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_count_space(args) -> int:
-    template = parse_dlab(Path(args.bias).read_text())
+    template = _load(args.bias, parse_dlab)
     print(count_space(template))
     return 0
 
 
 def cmd_report(args) -> int:
-    payload = json.loads(Path(args.json).read_text())
-    report = EvaluationReport(mode=payload["mode"],
-                              rows=[ClassReport(**r) for r in payload["rows"]],
-                              meta=payload.get("meta", {}))
+    report = _load(args.json, _parse_report)
     print(emit_report(report, args.format), end="")
     return 0
 

@@ -131,10 +131,10 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
             test_ids = set(plan.test_sets[j])
             train = [e for e in pool if e.situation not in test_ids]
             test = [e for e in pool if e.situation in test_ids]
-            theory = _guarded_theory(train, bias, params, classes, report, j)
-            return _fold_outcome(theory, classes, train, test)
+            theory, warns = _guarded_theory(train, bias, params, classes, j)
+            return _fold_outcome(theory, classes, train, test), warns
 
-        per_fold = _fold_map(run_fold, plan.fold_count)
+        per_fold = _fold_results(report, _fold_map(run_fold, plan.fold_count))
         for j in range(plan.fold_count):
             report.fold_audit.append({source: frozenset(plan.test_sets[j])})
         full = learn_theory(pool, bias, params, classes=classes)
@@ -152,10 +152,10 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
             test_ids = set(plan.test_sets[j])
             train = [e for e in agg_all if e.situation not in test_ids]
             test = [e for e in agg_all if e.situation in test_ids]
-            theory = _guarded_theory(train, bias, params, classes, report, j)
-            return _fold_outcome(theory, classes, train, test)
+            theory, warns = _guarded_theory(train, bias, params, classes, j)
+            return _fold_outcome(theory, classes, train, test), warns
 
-        per_fold = _fold_map(run_fold, plan.fold_count)
+        per_fold = _fold_results(report, _fold_map(run_fold, plan.fold_count))
         for j in range(plan.fold_count):
             report.fold_audit.append({"AGG": frozenset(plan.test_sets[j])})
         full = learn_theory(agg_all, bias, params, classes=classes)
@@ -197,16 +197,22 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
 
 
 def _guarded_theory(train: list[Interpretation], bias, params, classes,
-                    report: EvaluationReport, fold: int) -> Theory:
-    """Learn per class, skipping classes with no training positives."""
+                    fold: int) -> tuple[Theory, list[str]]:
+    """Learn per class, skipping (with a warning) classes with no training
+    positives."""
     present = {e.label for e in train}
     usable = [c for c in classes if c in present]
-    for c in classes:
-        if c not in present:
-            report.warnings.append(f"fold {fold}: class {c} has no training "
-                                   "positives; skipped")
-    theory = learn_theory(train, bias, params, classes=usable)
-    return theory
+    warnings = [f"fold {fold}: class {c} has no training positives; skipped"
+                for c in classes if c not in present]
+    return learn_theory(train, bias, params, classes=usable), warnings
+
+
+def _fold_results(report: EvaluationReport, outcomes) -> list:
+    """Fold outcomes, with each fold's warnings added in fold order, so
+    the report does not depend on which pool thread finished first."""
+    for _, warns in outcomes:
+        report.warnings.extend(warns)
+    return [outcome for outcome, _ in outcomes]
 
 
 def _fold_outcome(theory: Theory, classes, train, test):

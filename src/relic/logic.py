@@ -5,12 +5,19 @@ files and rule examples: a name starting with an uppercase character is a
 variable, anything else (lowercase identifier or integer text) is a constant.
 All values here are immutable; the matching procedures are pure functions and
 safe to call concurrently.
+
+Coverage, first-substitution search and theta-subsumption share one
+backtracking matcher over a FactIndex.  It plans the argument slots of each
+literal once per call, then matches the most constrained literal first (the
+one with the fewest candidate rows under the current binding) and fails a
+search node as soon as any remaining literal has no candidate row, in the
+manner of constraint-satisfaction theta-subsumption (Maloberti & Sebag,
+"Fast theta-subsumption with constraint satisfaction algorithms", 2004).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import UsageError
@@ -21,10 +28,6 @@ Substitution = dict[str, Term]
 
 def is_variable(term: Term) -> bool:
     return term[:1].isupper()
-
-
-def is_constant(term: Term) -> bool:
-    return bool(term) and not term[:1].isupper()
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,111 +163,126 @@ def _as_index(facts: Iterable[Literal] | FactIndex) -> FactIndex:
     return facts if isinstance(facts, FactIndex) else FactIndex(facts)
 
 
-def _match_args(pattern: Sequence[Term], ground: Sequence[Term],
-                binding: Substitution, trail: list[str]) -> bool:
-    """Extend binding so pattern == ground; record new entries on trail."""
-    for p, g in zip(pattern, ground):
-        if is_variable(p):
-            bound = binding.get(p)
-            if bound is None:
-                binding[p] = g
-                trail.append(p)
-            elif bound != g:
-                return False
-        elif p != g:
-            return False
-    return True
+_Slot = tuple[int, Term, bool]
+_Step = tuple[tuple[str, int], tuple[tuple[Term, ...], ...],
+              tuple[tuple[int, Term], ...], tuple[_Slot, ...]]
 
 
-@lru_cache(maxsize=16384)
-def _match_order(body: tuple[Literal, ...]) -> tuple[int, ...]:
-    """Connectivity-first literal order: fully bound literals become pure
-    membership checks, otherwise prefer literals sharing already-bound
-    variables; ties fall back to body position.  Purely an evaluation
-    order; the covering result is order independent."""
-    remaining = set(range(len(body)))
-    bound: set[Term] = set()
-    order: list[int] = []
-    while remaining:
-        def rank(i: int):
-            vs = set(body[i].variables())
-            unbound = vs - bound
-            if not unbound:
-                group = 0
-            elif vs & bound:
-                group = 1
-            else:
-                group = 2
-            return (group, len(unbound), i)
-
-        nxt = min(remaining, key=rank)
-        remaining.remove(nxt)
-        bound |= set(body[nxt].variables())
-        order.append(nxt)
-    return tuple(order)
-
-
-def covers(c: Clause, facts: Iterable[Literal] | FactIndex) -> bool:
-    """True iff some grounding of the body lies entirely inside facts.
-
-    An empty body is vacuously covered.  Literals are matched with
-    backtracking in a connectivity-first order (the result equals the
-    documented left-to-right matching; see find_covering_substitution for
-    the order-faithful variant).
-    """
-    index = _as_index(facts)
-    body = c.body
-    order = _match_order(body)
-    binding: Substitution = {}
-
-    def candidates(literal: Literal):
+def _plan(literals: Sequence[Literal],
+          index: FactIndex) -> tuple[_Step, ...] | None:
+    """Per literal: its key, the rows its constants allow, its variable
+    positions and its (pos, term, is_var) slots; None when the constants of
+    some literal already rule out every row."""
+    plan = []
+    for literal in literals:
+        key = literal.key
+        rows = index.candidates(key)
+        var_slots = []
+        slots = []
         for pos, a in enumerate(literal.args):
-            if is_variable(a):
-                v = binding.get(a)
-                if v is not None:
-                    return index.candidates_at(literal.key, pos, v)
+            is_var = is_variable(a)
+            slots.append((pos, a, is_var))
+            if is_var:
+                var_slots.append((pos, a))
             else:
-                return index.candidates_at(literal.key, pos, a)
-        return index.candidates(literal.key)
+                found = index.candidates_at(key, pos, a)
+                if len(found) < len(rows):
+                    rows = found
+        if not rows:
+            return None
+        plan.append((key, rows, tuple(var_slots), tuple(slots)))
+    return tuple(plan)
 
-    def solve(i: int) -> bool:
-        if i == len(order):
+
+def _match(literals: Sequence[Literal], index: FactIndex,
+           dynamic: bool) -> Substitution | None:
+    """The one backtracking search behind covers, find_covering_substitution
+    and theta_subsumes: a grounding of every literal inside index, or None.
+
+    Each literal is tried against the rows for its most selective bound
+    position only: its constants are weighed once, in the plan, and its
+    variables as they become bound.  Those rows keep the sorted row order.
+    With dynamic set, every search node first counts those rows for each
+    remaining literal: a literal with none fails the node at once (forward
+    checking), otherwise the literal with the fewest rows is matched next,
+    ties going to the earlier literal.  Without it the literals are matched
+    left to right, so the first grounding found is the first in sorted-row
+    order.
+    """
+    plan = _plan(literals, index)
+    if plan is None:
+        return None
+    binding: Substitution = {}
+    candidates_at = index.candidates_at
+
+    def rows(step: _Step) -> tuple[tuple[Term, ...], ...]:
+        key, best, var_slots, _ = step
+        for pos, var in var_slots:
+            value = binding.get(var)
+            if value is not None:
+                found = candidates_at(key, pos, value)
+                if len(found) < len(best):
+                    best = found
+                    if not found:
+                        break
+        return best
+
+    def solve(remaining: tuple[_Step, ...]) -> bool:
+        if not remaining:
             return True
-        literal = body[order[i]]
-        for args in candidates(literal):
-            trail: list[str] = []
-            if _match_args(literal.args, args, binding, trail):
-                if solve(i + 1):
+        pick = 0
+        if dynamic:
+            fewest = None
+            for i, step in enumerate(remaining):
+                found = rows(step)
+                if not found:
+                    return False
+                if fewest is None or len(found) < len(fewest):
+                    pick, fewest = i, found
+        else:
+            fewest = rows(remaining[0])
+        slots = remaining[pick][3]
+        rest = remaining[:pick] + remaining[pick + 1:]
+        for args in fewest:
+            trail: list[Term] = []
+            for pos, term, is_var in slots:
+                value = args[pos]
+                if is_var:
+                    bound = binding.get(term)
+                    if bound is None:
+                        binding[term] = value
+                        trail.append(term)
+                        continue
+                    term = bound
+                if term != value:
+                    break
+            else:
+                if solve(rest):
                     return True
             for v in trail:
                 del binding[v]
         return False
 
-    return solve(0)
+    return binding if solve(plan) else None
+
+
+def covers(c: Clause, facts: Iterable[Literal] | FactIndex) -> bool:
+    """True iff some grounding of the body lies entirely inside facts.
+
+    An empty body is vacuously covered.  The body is matched most
+    constrained literal first: at each step the literal with the fewest
+    candidate rows under the current binding, failing as soon as any
+    literal has none.  The result does not depend on that order; see
+    find_covering_substitution for the left-to-right variant.
+    """
+    return _match(c.body, _as_index(facts), dynamic=True) is not None
 
 
 def find_covering_substitution(
         c: Clause, facts: Iterable[Literal] | FactIndex) -> Substitution | None:
     """First grounding found matching strictly left to right through the
     body (candidate facts in sorted order), or None."""
-    index = _as_index(facts)
-    body = c.body
-    binding: Substitution = {}
-
-    def solve(i: int) -> bool:
-        if i == len(body):
-            return True
-        literal = body[i]
-        for args in index.candidates(literal.key):
-            trail: list[str] = []
-            if _match_args(literal.args, args, binding, trail):
-                if solve(i + 1):
-                    return True
-            for v in trail:
-                del binding[v]
-        return False
-
-    return dict(binding) if solve(0) else None
+    return _match(c.body, _as_index(facts), dynamic=False)
 
 
 def theory_covers(clauses: Iterable[Clause],
@@ -278,30 +296,11 @@ def theta_subsumes(c: Clause, d: Clause) -> bool:
     """True iff some substitution maps every literal of c into d.
 
     Both heads and bodies participate: each literal of c, after the
-    substitution, must occur among d's head and body literals.
+    substitution, must occur among d's head and body literals.  d's
+    variables are matched as if they were constants.
     """
-    targets = (d.head, *d.body)
-    by_key: dict[tuple[str, int], list[tuple[Term, ...]]] = {}
-    for t in targets:
-        by_key.setdefault(t.key, []).append(t.args)
-
-    literals = (c.head, *c.body)
-    binding: Substitution = {}
-
-    def solve(i: int) -> bool:
-        if i == len(literals):
-            return True
-        literal = literals[i]
-        for args in by_key.get(literal.key, ()):
-            trail: list[str] = []
-            if _match_args(literal.args, args, binding, trail):
-                if solve(i + 1):
-                    return True
-            for v in trail:
-                del binding[v]
-        return False
-
-    return solve(0)
+    return _match((c.head, *c.body), FactIndex((d.head, *d.body)),
+                  dynamic=True) is not None
 
 
 def standardize_apart(c1: Clause, c2: Clause) -> tuple[Clause, Clause]:
@@ -411,7 +410,3 @@ def event_variables(c: Clause, schema: PredicateSchema) -> list[Term]:
         if schema.is_event(b.pred) and b.args and is_variable(b.args[0]):
             out.setdefault(b.args[0])
     return list(out)
-
-
-def event_literals(c: Clause, schema: PredicateSchema) -> list[Literal]:
-    return [b for b in c.body if schema.is_event(b.pred)]

@@ -43,3 +43,35 @@ def brute_subsumes(c: Clause, d: Clause) -> bool:
         if all(m in targets for m in mapped):
             return True
     return False
+
+
+def brute_first_substitution(c: Clause, facts):
+    """The first grounding of the body, scanning it left to right over the
+    full sorted rows of each literal's predicate.
+
+    Depth-first left-to-right search finds the lexicographically first
+    consistent choice of one row per body literal, which is the first
+    consistent choice that product() yields over the sorted rows."""
+    rows = {}
+    for f in set(facts):
+        rows.setdefault((f.pred, len(f.args)), []).append(f.args)
+    choices = [sorted(rows.get((b.pred, len(b.args)), ())) for b in c.body]
+    for combo in product(*choices):
+        theta = _consistent(c.body, combo)
+        if theta is not None:
+            return theta
+    return None
+
+
+def _consistent(body, combo):
+    """The substitution mapping each body literal's args onto its chosen
+    row, or None when no single one does."""
+    theta = {}
+    for b, args in zip(body, combo):
+        for a, g in zip(b.args, args):
+            if is_variable(a):
+                if theta.setdefault(a, g) != g:
+                    return None
+            elif a != g:
+                return None
+    return theta

@@ -101,3 +101,53 @@ def test_empty_data_usage_error(tmp_path, bias_dir):
     rc = main(["learn", "--source", "ECG", "--bias",
                str(bias_dir / "ECG.dlab"), str(empty)])
     assert rc == 2
+
+
+def test_missing_report_usage_error(tmp_path, capsys):
+    rc = main(["report", str(tmp_path / "missing.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+ROW = {"label": "vt", "tracc": 1.0, "acc": 0.5, "comp": "2", "nodes": 3,
+       "time_ms": 4.0}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"mode": "mono", "rows": [{"label": "vt", "bogus": 1}]}),
+    json.dumps({"mode": "mono", "rows": [{**ROW, "tracc": "high"}]}),
+    json.dumps({"rows": [ROW]}),
+    "{not json",
+])
+def test_report_malformed_usage_error(tmp_path, capsys, text):
+    bad = tmp_path / "report.json"
+    bad.write_text(text)
+    rc = main(["report", str(bad)])
+    assert rc == 2
+    assert "not a report written by crossval" in capsys.readouterr().err
+
+
+def test_malformed_fact_file_usage_error(tmp_path, bias_dir, capsys):
+    bad = tmp_path / "bad.facts"
+    bad.write_text("begin(model).\ndoublet_1_ECG.\nqrs(r1,\nend(model).\n")
+    rc = main(["learn", "--source", "ECG", "--bias",
+               str(bias_dir / "ECG.dlab"), str(bad)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line ")
+
+
+def test_malformed_grammar_usage_error(tmp_path, fact_dir, capsys):
+    bad = tmp_path / "bad.dlab"
+    bad.write_text("1-1:[qrs(R0,\n")
+    rc = main(["learn", "--source", "ECG", "--bias", str(bad),
+               str(fact_dir / "ECG.facts")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line ")
+
+
+def test_binary_grammar_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.dlab"
+    bad.write_bytes(b"1-1:[\xff\xfe]")
+    rc = main(["count-space", "--bias", str(bad)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {bad}")

@@ -122,6 +122,21 @@ class TestCrossValidate:
 
         assert stable(base) == stable(threaded)
 
+    def test_fold_warnings_in_fold_order(self, hand_bias, monkeypatch):
+        # one situation per class: every leave-one-out fold trains without
+        # the held-out class and warns about it
+        labels = ("up", "down", "left", "right")
+        dataset = Dataset(tuple(_example(label, k, "A", ("normal",))
+                                for k, label in enumerate(labels)),
+                          SCHEMA, tuple(sorted(labels)))
+        expected = [f"fold {k}: class {label} has no training positives; "
+                    "skipped" for k, label in enumerate(labels)]
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RELIC_THREADS", threads)
+            report = cross_validate(dataset, "mono", 4,
+                                    biases={"A": hand_bias}, source="A")
+            assert report.warnings == expected
+
     def test_bad_thread_env(self, hand_dataset, hand_bias, monkeypatch):
         monkeypatch.setenv("RELIC_THREADS", "many")
         with pytest.raises(UsageError):

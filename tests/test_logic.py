@@ -2,11 +2,14 @@ import random
 
 import pytest
 from conftest import ECG_BLOCK, random_ground_facts, random_small_clause
-from oracles import brute_covers, brute_subsumes
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import brute_covers, brute_first_substitution, brute_subsumes
 
 from relic import UsageError, parse_model_file
-from relic.logic import (PredicateDecl, PredicateSchema,
-                         apply_substitution, canonical_text, clause, covers,
+from relic.logic import (Clause, FactIndex, Literal, PredicateDecl,
+                         PredicateSchema, apply_substitution,
+                         canonical_text, clause, covers,
                          find_covering_substitution, lit, normalize,
                          standardize_apart, theory_covers, theta_subsumes)
 
@@ -113,6 +116,121 @@ class TestCovers:
             if covers(d, facts):
                 assert covers(c, facts)
             checked += 1
+
+
+PREDS = (("p", 1), ("p", 2), ("q", 2), ("r", 3), ("s", 0))
+CONSTS = ("a", "b", "c")
+VARIABLES = ("X", "Y", "Z")
+# variables drawn more often than constants, so that body literals share
+# variables and the most constrained literal is often not the next one in
+# body order
+TERMS = (*VARIABLES, *VARIABLES, *CONSTS)
+
+
+def literals(terms):
+    return st.sampled_from(PREDS).flatmap(
+        lambda pa: st.tuples(*[st.sampled_from(terms)] * pa[1]).map(
+            lambda args: Literal(pa[0], args)))
+
+
+def clauses(labels=("x",)):
+    return st.builds(Clause,
+                     st.sampled_from(labels).map(lambda l: lit("class", l)),
+                     st.lists(literals(TERMS), min_size=1,
+                              max_size=5).map(tuple))
+
+
+@st.composite
+def instances(draw, pattern, terms):
+    """The pattern literals under a few random substitutions into terms
+    (competing groundings), one to three of them replaced by a near miss
+    with one argument redrawn from terms."""
+    thetas = draw(st.lists(st.fixed_dictionaries(
+        {v: st.sampled_from(terms) for v in VARIABLES}), min_size=1,
+        max_size=3))
+    near = sorted({apply_substitution(b, theta)
+                   for theta in thetas for b in pattern}, key=str)
+    out = set(near)
+    for miss in draw(st.lists(st.sampled_from(near), min_size=1, max_size=3,
+                              unique=True)):
+        out.discard(miss)
+        if miss.args:
+            pos = draw(st.integers(0, len(miss.args) - 1))
+            args = list(miss.args)
+            args[pos] = draw(st.sampled_from(terms))
+            out.add(Literal(miss.pred, tuple(args)))
+    return out
+
+
+@st.composite
+def clause_and_facts(draw):
+    c = draw(clauses())
+    noise = draw(st.frozensets(literals(CONSTS), max_size=4))
+    return c, frozenset(draw(instances(c.body, CONSTS)) | noise)
+
+
+@st.composite
+def clause_pairs(draw):
+    """c, and a d that is often an instance of c: c's literals under a
+    substitution that may map to d's own variables, plus extra literals."""
+    c = draw(clauses(("x", "y", "L")))
+    near = draw(instances((c.head, *c.body), TERMS))
+    heads = [h for h in near if h.pred == "class"] or [lit("class", "x")]
+    body = [b for b in near if b.pred != "class"]
+    extra = draw(st.lists(literals(TERMS), max_size=2))
+    return c, Clause(heads[0], tuple(sorted(body, key=str)) + tuple(extra))
+
+
+EMPTY_BODY = clause("x", ())
+# a ground literal next to a non-ground one
+WITH_GROUND = clause("x", (lit("q", "a", "b"), lit("p", "X", "a")))
+# left to right the first grounding is X=a, Y=b; matching p(Y) first
+# would meet X=b, Y=a first
+CHAIN = clause("x", (lit("q", "X", "Y"), lit("p", "Y"), lit("s")))
+CHAIN_FACTS = frozenset({lit("q", "a", "b"), lit("q", "b", "a"),
+                         lit("p", "a"), lit("p", "b"), lit("p", "c", "c"),
+                         lit("s")})
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
+                    database=None)
+
+
+class TestMatcherProperties:
+    """The matcher against the brute-force oracles on random clauses."""
+
+    @PROPERTY
+    @given(clause_and_facts())
+    @example((EMPTY_BODY, frozenset()))
+    @example((EMPTY_BODY, CHAIN_FACTS))
+    @example((WITH_GROUND, CHAIN_FACTS))
+    @example((WITH_GROUND, frozenset({lit("q", "a", "b"),
+                                      lit("p", "b", "a")})))
+    @example((CHAIN, CHAIN_FACTS))
+    def test_covers(self, case):
+        c, facts = case
+        assert covers(c, facts) == brute_covers(c, facts)
+
+    @PROPERTY
+    @given(clause_and_facts())
+    @example((EMPTY_BODY, frozenset()))
+    @example((CHAIN, CHAIN_FACTS))
+    def test_first_substitution(self, case):
+        c, facts = case
+        index = FactIndex(facts)
+        found = find_covering_substitution(c, index)
+        assert found == brute_first_substitution(c, facts)
+        # answers do not depend on the position maps the index built lazily
+        # for the call before
+        assert covers(c, index) == (found is not None)
+
+    @PROPERTY
+    @given(clause_pairs())
+    @example((EMPTY_BODY, EMPTY_BODY))
+    @example((WITH_GROUND, clause("x", WITH_GROUND.body[::-1])))
+    @example((CHAIN, clause("x", (lit("q", "Y", "X"), lit("p", "X"),
+                                  lit("s")))))
+    def test_theta_subsumes(self, case):
+        c, d = case
+        assert theta_subsumes(c, d) == brute_subsumes(c, d)
 
 
 class TestTheoryCovers:
