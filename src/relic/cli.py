@@ -160,9 +160,14 @@ def cmd_learn_biased(args) -> int:
 
 
 def cmd_crossval(args) -> int:
+    try:
+        folds = None if args.folds == "loo" else int(args.folds)
+    except ValueError:
+        raise UsageError(f"--folds must be a fold count or 'loo', "
+                         f"got {args.folds!r}") from None
     dataset = _load_dataset(args.data, args.data_mode)
-    folds = (len(dataset.situations()) if args.folds == "loo"
-             else int(args.folds))
+    if folds is None:
+        folds = len(dataset.situations())
     biases = _load_biases(args.bias) if args.bias else None
     constraints = (_load(args.constraints, parse_constraints)
                    if args.constraints else [])

@@ -64,6 +64,12 @@ class Interpretation:
     def index(self) -> FactIndex:
         return FactIndex(self.facts)
 
+    @cached_property
+    def coverage_memo(self) -> dict[str, bool]:
+        """covers results on these facts, keyed by clause body text; the
+        learner fills it, and it lives exactly as long as the example."""
+        return {}
+
     @property
     def ident(self) -> str:
         return f"{self.label}_{self.situation}_{self.source}"

@@ -1,5 +1,17 @@
 """Top-down rule induction per class: beam search under a DLAB bias with the
-accuracy heuristic, a zero-false-positive stop rule, and a covering loop."""
+accuracy heuristic, a zero-false-positive stop rule, and a covering loop.
+
+The search identifies a clause by its body text: the sorted literal texts
+joined by ", " (every clause of one search has the head class(label)).  The
+same text keys each example's coverage memo (Interpretation.coverage_memo),
+so a body is tested against an example once however many classes, covering
+rounds and cross-validation folds reach it.  This is sound because whether
+a body covers an interpretation depends only on the body, order aside, and
+on the example's facts, which never change; not on the class label, the
+head or the fold.  The memo lives and dies with its example: the folds of a
+cross-validation share it because Dataset.restrict keeps the same
+Interpretation objects.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .data import Interpretation
 from .dlab import DlabTemplate, Selection, clause_of, refine, start_selection
 from .errors import UsageError
-from .logic import Clause, canonical_text, covers, theory_covers
+from .logic import Clause, body_key, covers, theory_covers
 
 
 def accuracy(tp: int, tn: int, fp: int, fn: int) -> float:
@@ -90,7 +102,9 @@ class Theory:
 @dataclass
 class _Candidate:
     """One clause under consideration; equal clauses reached through
-    different selections are pooled so every continuation stays reachable."""
+    different selections are pooled so every continuation stays reachable.
+    canon is the body text: one search shares one head, so ordering by it
+    orders as canonical_text would."""
 
     sels: tuple[Selection, ...]
     clause: Clause
@@ -100,9 +114,22 @@ class _Candidate:
     acc: float
 
 
-def _coverage(c: Clause, pool: Sequence[Interpretation],
+def _coverage(c: Clause, body: str, pool: Sequence[Interpretation],
               among: Iterable[int]) -> tuple[int, ...]:
-    return tuple(i for i in among if covers(c, pool[i].index))
+    """The indices in among whose example c covers.  body is c's body
+    text; each example's coverage memo answers a body it has seen before,
+    under any class or fold, and covers runs only on a miss.  Fold threads
+    may share a memo: a race at worst computes the same bool twice."""
+    covered = []
+    for i in among:
+        e = pool[i]
+        memo = e.coverage_memo
+        hit = memo.get(body)
+        if hit is None:
+            hit = memo[body] = covers(c, e.index)
+        if hit:
+            covered.append(i)
+    return tuple(covered)
 
 
 def _is_additive(parent: Clause, child: Clause) -> bool:
@@ -128,7 +155,6 @@ def _beam_search(label: str, bias: DlabTemplate,
                       canon="", pos_cover=tuple(remaining), neg_cover=all_neg,
                       acc=0.0)
     beam = [root]
-    score_cache: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     expanded: set[Selection] = set()
 
     while beam:
@@ -144,26 +170,22 @@ def _beam_search(label: str, bias: DlabTemplate,
                     node_hook(len(children))
                 for child in children:
                     c = clause_of(bias, child, label)
-                    canon = canonical_text(c)
-                    known = grouped.get(canon)
+                    body = ", ".join(body_key(c))
+                    known = grouped.get(body)
                     if known is not None:
                         if child not in known.sels:
                             known.sels = (*known.sels, child)
                         continue
-                    cached = score_cache.get(canon)
-                    if cached is not None:
-                        pos_cover, neg_cover = cached
-                    elif _is_additive(parent.clause, c):
-                        pos_cover = _coverage(c, pos, parent.pos_cover)
-                        neg_cover = _coverage(c, neg, parent.neg_cover)
+                    if _is_additive(parent.clause, c):
+                        pos_cover = _coverage(c, body, pos, parent.pos_cover)
+                        neg_cover = _coverage(c, body, neg, parent.neg_cover)
                     else:
-                        pos_cover = _coverage(c, pos, remaining)
-                        neg_cover = _coverage(c, neg, all_neg)
-                    score_cache[canon] = (pos_cover, neg_cover)
+                        pos_cover = _coverage(c, body, pos, remaining)
+                        neg_cover = _coverage(c, body, neg, all_neg)
                     tp, fp = len(pos_cover), len(neg_cover)
                     acc = accuracy(tp, n_neg - fp, fp, n_pos - tp)
-                    grouped[canon] = _Candidate((child,), c, canon,
-                                                pos_cover, neg_cover, acc)
+                    grouped[body] = _Candidate((child,), c, body,
+                                               pos_cover, neg_cover, acc)
 
         if not grouped:
             return None

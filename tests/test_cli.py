@@ -89,6 +89,14 @@ def test_usage_error_exit_code(fact_dir, bias_dir):
     assert rc == 2
 
 
+def test_non_numeric_folds_usage_error(fact_dir, bias_dir, capsys):
+    rc = main(["crossval", "--folds", "abc", "--mode", "mono",
+               "--source", "ECG", "--bias", f"ECG={bias_dir / 'ECG.dlab'}",
+               str(fact_dir / "ECG.facts")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --folds must be")
+
+
 def test_bad_bias_pair_exit_code(fact_dir):
     rc = main(["learn-biased", "--bias", "nodelimiter",
                str(fact_dir / "ECG.facts")])

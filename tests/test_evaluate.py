@@ -163,6 +163,30 @@ class TestSmallPipelineCrossval:
             assert 0.0 <= row.tracc <= 1.0
             assert 0.0 <= row.acc <= 1.0
 
+    def test_thread_count_with_shared_memos(self, monkeypatch):
+        """Fold threads share each example's coverage memo; the thread
+        count changes neither rows nor warnings.  Each run starts from
+        fresh examples (cold memos), with frequent thread switches."""
+        import sys
+
+        def run(threads):
+            monkeypatch.setenv("RELIC_THREADS", threads)
+            ds = generate_dataset(GeneratorConfig(seed=2, per_class=2,
+                                                  mode="split"))
+            report = cross_validate(ds, "biased", 2,
+                                    biases=monosource_biases("split"))
+            return ([(r.label, r.tracc, r.acc, r.comp, r.nodes)
+                     for r in report.rows], report.warnings)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            serial, pooled = run("1"), run("2")
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial[1]  # the split schema leaves some classes unlearned
+        assert serial == pooled
+
 
 class TestEmitReport:
     def _report(self, hand_dataset, hand_bias):

@@ -5,7 +5,7 @@ from relic.data import Interpretation
 from relic.dlab import choice, compile_template, inline, literal
 from relic.learner import (LearnerParams, accuracy, learn_class, learn_theory,
                            score_clause, train_accuracy)
-from relic.logic import clause, lit
+from relic.logic import clause, covers, lit
 
 
 def _example(label, situation, facts):
@@ -178,3 +178,56 @@ def test_refinement_coverage_monotone():
                     assert cov <= parent_cov
                 nxt.append((child, cov))
         frontier = nxt
+
+
+def _fresh(examples):
+    """Copies of the examples with empty coverage memos."""
+    return [Interpretation(e.situation, e.source, e.label, e.facts,
+                           e.raw_events) for e in examples]
+
+
+def _learned(theory):
+    return {label: (r.clauses, r.stats.nodes)
+            for label, r in theory.per_class.items()}
+
+
+class TestCoverageMemo:
+    """Each example's coverage memo, shared by every class and search."""
+
+    @pytest.fixture(scope="class")
+    def ecg(self):
+        from relic import GeneratorConfig, generate_dataset, monosource_biases
+
+        ds = generate_dataset(GeneratorConfig(seed=2, per_class=2))
+        return ds.by_source("ECG"), monosource_biases("full")["ECG"]
+
+    def test_warm_memo_learns_what_a_cold_one_does(self, ecg, monkeypatch):
+        import relic.learner as learner
+
+        examples, bias = ecg
+        cold = learn_theory(_fresh(examples), bias)
+        first = learn_theory(examples, bias)
+        assert all(e.coverage_memo for e in examples)
+        calls = []
+
+        def counted(c, facts):
+            calls.append(c)
+            return covers(c, facts)
+
+        monkeypatch.setattr(learner, "covers", counted)
+        second = learn_theory(examples, bias)
+        assert calls == []  # every pair answered by the memo
+        assert _learned(first) == _learned(second) == _learned(cold)
+
+    def test_entries_stay_with_their_example(self):
+        from relic.learner import _coverage
+        from relic.logic import body_key
+
+        c = clause("x", (lit("qrs", "A", "abnormal"),))
+        body = ", ".join(body_key(c))
+        hit = _beat_example("x", 0, ("abnormal",))
+        miss = _beat_example("y", 1, ("normal",))
+        assert _coverage(c, body, [hit, miss], range(2)) == (0,)
+        assert _coverage(c, body, [miss, hit], range(2)) == (1,)
+        assert hit.coverage_memo == {body: True}
+        assert miss.coverage_memo == {body: False}

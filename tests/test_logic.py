@@ -170,6 +170,17 @@ def clause_and_facts(draw):
 
 
 @st.composite
+def sub_body_and_facts(draw):
+    """A clause and facts as clause_and_facts draws them, plus the same
+    clause with some of its body literals dropped."""
+    c, facts = draw(clause_and_facts())
+    keep = draw(st.lists(st.booleans(), min_size=len(c.body),
+                         max_size=len(c.body)))
+    shorter = Clause(c.head, tuple(b for b, k in zip(c.body, keep) if k))
+    return c, shorter, facts
+
+
+@st.composite
 def clause_pairs(draw):
     """c, and a d that is often an instance of c: c's literals under a
     substitution that may map to d's own variables, plus extra literals."""
@@ -208,6 +219,19 @@ class TestMatcherProperties:
     def test_covers(self, case):
         c, facts = case
         assert covers(c, facts) == brute_covers(c, facts)
+
+    @PROPERTY
+    @given(sub_body_and_facts())
+    @example((CHAIN, clause("x", CHAIN.body[1:]), CHAIN_FACTS))
+    @example((CHAIN, EMPTY_BODY, frozenset()))
+    def test_coverage_monotone(self, case):
+        """A body covers whatever any body extending it covers; the
+        learner scores an additive child only on its parent's cover."""
+        longer, shorter, facts = case
+        wide, narrow = covers(shorter, facts), covers(longer, facts)
+        assert narrow == brute_covers(longer, facts)
+        assert wide == brute_covers(shorter, facts)
+        assert wide or not narrow
 
     @PROPERTY
     @given(clause_and_facts())
