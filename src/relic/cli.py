@@ -3,7 +3,6 @@
 Subcommands: synth, learn, learn-naive, learn-biased, crossval, count-space,
 report.  Exit codes: 0 on success, 2 on usage errors (including an input file
 that is missing or does not parse), 1 on internal errors.
-RELIC_THREADS caps fold-level parallelism during cross-validation.
 """
 
 from __future__ import annotations

@@ -214,7 +214,6 @@ class SymbolizationConfig:
     amp_mmhg: tuple[int, int] = (70, 110)         # dias / sys amplitude
     variation_mmhg: tuple[int, int] = (30, 60)    # cycle_abp pressure change
     cycle_window_ms: int = 1000
-    suc_window: int = 8                           # max events apart for suc
 
     def __post_init__(self):
         for name in ("beat_ms", "wave_ms", "amp_mmhg", "variation_mmhg"):
@@ -256,13 +255,34 @@ def _amp_of(e: Event) -> int | None:
     return None
 
 
+SUC_WINDOW = 8  # suc relates events at most this many positions apart
+
+
+def succession_facts(events: Sequence[Event],
+                     origins: Sequence[str] | None = None) -> list[Literal]:
+    """suc(later, earlier) for time-ordered events at most SUC_WINDOW
+    positions apart, and suci(next, previous) for neighbours.  With
+    origins (each event's source), only pairs from different sources."""
+    eids = [e.eid for e in events]
+    n = len(eids)
+    out: list[Literal] = []
+    for j, earlier in enumerate(eids):
+        for i in range(j + 1, min(j + 1 + SUC_WINDOW, n)):
+            if origins is None or origins[i] != origins[j]:
+                out.append(Literal("suc", (eids[i], earlier)))
+    for i in range(1, n):
+        if origins is None or origins[i] != origins[i - 1]:
+            out.append(Literal("suci", (eids[i], eids[i - 1])))
+    return out
+
+
 def saturate(interp: Interpretation, cfg: SymbolizationConfig,
              schema: PredicateSchema) -> Interpretation:
     """Extend facts with everything the background knowledge derives.
 
     Derived facts: timestamp-free event facts with symbolized attributes,
-    suc/suci over the interpretation's timeline (suc windowed by
-    cfg.suc_window), the schema's timing predicates, and cycle_abp.
+    suc/suci over the interpretation's timeline (succession_facts), the
+    schema's timing predicates, and cycle_abp.
     Deterministic and idempotent; an event-free interpretation is returned
     unchanged.
     """
@@ -274,12 +294,7 @@ def saturate(interp: Interpretation, cfg: SymbolizationConfig,
             raise InternalError("raw events out of order after construction")
 
     derived: list[Literal] = [_symbolize_event(e, cfg) for e in events]
-
-    for j, earlier in enumerate(events):
-        for i in range(j + 1, min(j + 1 + cfg.suc_window, len(events))):
-            derived.append(Literal("suc", (events[i].eid, earlier.eid)))
-    for prev, nxt in zip(events, events[1:]):
-        derived.append(Literal("suci", (nxt.eid, prev.eid)))
+    derived.extend(succession_facts(events))
 
     by_pred: dict[str, list[Event]] = {}
     for e in events:

@@ -11,8 +11,6 @@ in the metadata.
 from __future__ import annotations
 
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -86,113 +84,91 @@ def _test_score(theory: Theory, label: str, example: Interpretation) -> int:
     return 0 if covered else 1
 
 
-def _threads() -> int:
-    raw = os.environ.get("RELIC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"RELIC_THREADS must be an integer, got {raw!r}")
-
-
-def _fold_map(work, folds):
-    threads = _threads()
-    if threads == 1:
-        return [work(j) for j in range(folds)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, range(folds)))
-
-
 def cross_validate(dataset: Dataset, mode: str, folds: int,
                    biases: Mapping[str, DlabTemplate] | None = None,
                    constraints: Iterable[InterleavingConstraint] = (),
                    params: LearnerParams = LearnerParams(),
                    source: str | None = None,
-                   naive_max_events: int = 4,
-                   suc_window: int = 8) -> EvaluationReport:
+                   naive_max_events: int = 4) -> EvaluationReport:
     """p-fold cross-validation (folds == number of situations is
-    leave-one-out), with the identical fold plan applied to every source."""
+    leave-one-out), with the identical fold plan applied to every source.
+
+    Folds run one after another in plan order, then one run on the full
+    dataset; each mode only supplies how a fold learns from its training
+    situations, which examples are held out, and the fold's audit entry.
+    """
     if mode not in MODES:
         raise UsageError(f"unknown evaluation mode {mode!r}")
     classes = list(dataset.classes)
     plan = make_folds(dataset.situations(), folds)
-    constraints = list(constraints)
     report = EvaluationReport(mode=mode, rows=[])
     report.meta["folds"] = str(folds)
 
-    if mode == "mono":
-        if source is None:
-            raise UsageError("mono mode needs a source")
-        if biases is None or source not in biases:
-            raise UsageError(f"no bias for source {source}")
-        pool = dataset.by_source(source)
-        bias = biases[source]
+    if mode == "biased":
+        if biases is None:
+            raise UsageError("biased mode needs per-source biases")
+        constraints = list(constraints)
+        held_out = aggregate(dataset).examples
 
-        def run_fold(j: int):
-            test_ids = set(plan.test_sets[j])
-            train = [e for e in pool if e.situation not in test_ids]
-            test = [e for e in pool if e.situation in test_ids]
-            theory, warns = _guarded_theory(train, bias, params, classes, j)
-            return _fold_outcome(theory, classes, train, test), warns
+        def learn(fold: int, test_ids: frozenset[int]):
+            result = biased_multisource_learn(
+                dataset.restrict([s for s in dataset.situations()
+                                  if s not in test_ids]),
+                biases, constraints, params)
+            return result.theory, result.aggregated, result.warnings
 
-        per_fold = _fold_results(report, _fold_map(run_fold, plan.fold_count))
-        for j in range(plan.fold_count):
-            report.fold_audit.append({source: frozenset(plan.test_sets[j])})
-        full = learn_theory(pool, bias, params, classes=classes)
-        _fill_rows(report, classes, per_fold, full, dataset.schema)
-        return report
+        def audit(test_ids: frozenset[int], test: list[Interpretation]):
+            entry = {src: frozenset(s for s in test_ids
+                                    if dataset.get(src, s) is not None)
+                     for src in dataset.sources()}
+            entry["AGG"] = frozenset(e.situation for e in test)
+            return entry
 
-    agg_all = aggregate(dataset, suc_window=suc_window).examples
-    by_situation = {e.situation: e for e in agg_all}
+        def learn_full() -> Theory:
+            full = biased_multisource_learn(dataset, biases, constraints,
+                                            params)
+            report.warnings.extend(full.warnings)
+            for src, theory in full.mono.items():
+                report.meta[f"mono_time_ms_{src}"] = str(round(sum(
+                    r.stats.time_ms for r in theory.per_class.values()), 1))
+                report.meta[f"mono_nodes_{src}"] = str(theory.total_nodes())
+            return full.theory
+    else:
+        if mode == "mono":
+            if source is None:
+                raise UsageError("mono mode needs a source")
+            if biases is None or source not in biases:
+                raise UsageError(f"no bias for source {source}")
+            held_out = dataset.by_source(source)
+            bias = biases[source]
+            audit_key = source
+        else:
+            held_out = aggregate(dataset).examples
+            bias = naive_bias(dataset.schema, naive_max_events)
+            audit_key = "AGG"
+            report.meta["naive_max_events"] = str(naive_max_events)
 
-    if mode == "naive":
-        bias = naive_bias(dataset.schema, naive_max_events)
-        report.meta["naive_max_events"] = str(naive_max_events)
+        def learn(fold: int, test_ids: frozenset[int]):
+            train = [e for e in held_out if e.situation not in test_ids]
+            theory, warns = _guarded_theory(train, bias, params, classes,
+                                            fold)
+            return theory, train, warns
 
-        def run_fold(j: int):
-            test_ids = set(plan.test_sets[j])
-            train = [e for e in agg_all if e.situation not in test_ids]
-            test = [e for e in agg_all if e.situation in test_ids]
-            theory, warns = _guarded_theory(train, bias, params, classes, j)
-            return _fold_outcome(theory, classes, train, test), warns
+        def audit(test_ids: frozenset[int], test: list[Interpretation]):
+            return {audit_key: test_ids}
 
-        per_fold = _fold_results(report, _fold_map(run_fold, plan.fold_count))
-        for j in range(plan.fold_count):
-            report.fold_audit.append({"AGG": frozenset(plan.test_sets[j])})
-        full = learn_theory(agg_all, bias, params, classes=classes)
-        _fill_rows(report, classes, per_fold, full, dataset.schema)
-        return report
+        def learn_full() -> Theory:
+            return learn_theory(held_out, bias, params, classes=classes)
 
-    if biases is None:
-        raise UsageError("biased mode needs per-source biases")
-
-    def run_fold(j: int):
-        test_ids = set(plan.test_sets[j])
-        train_ds = dataset.restrict([s for s in dataset.situations()
-                                     if s not in test_ids])
-        result = biased_multisource_learn(train_ds, biases, constraints,
-                                          params, suc_window=suc_window)
-        test = [by_situation[s] for s in plan.test_sets[j]
-                if s in by_situation]
-        audit = {src: frozenset(s for s in test_ids
-                                if dataset.get(src, s) is not None)
-                 for src in dataset.sources()}
-        audit["AGG"] = frozenset(e.situation for e in test)
-        return _fold_outcome(result.theory, classes, result.aggregated,
-                             test), audit, result.warnings
-
-    outcomes = _fold_map(run_fold, plan.fold_count)
-    per_fold = [o[0] for o in outcomes]
-    for _, audit, warns in outcomes:
-        report.fold_audit.append(audit)
+    per_fold = []
+    for fold, test_set in enumerate(plan.test_sets):
+        test_ids = frozenset(test_set)
+        theory, scored, warns = learn(fold, test_ids)
+        test = [e for e in held_out if e.situation in test_ids]
+        per_fold.append(_fold_outcome(theory, classes, scored, test))
+        report.fold_audit.append(audit(test_ids, test))
         report.warnings.extend(warns)
-    full = biased_multisource_learn(dataset, biases, constraints, params,
-                                    suc_window=suc_window)
-    report.warnings.extend(full.warnings)
-    for src, theory in full.mono.items():
-        report.meta[f"mono_time_ms_{src}"] = str(round(sum(
-            r.stats.time_ms for r in theory.per_class.values()), 1))
-        report.meta[f"mono_nodes_{src}"] = str(theory.total_nodes())
-    _fill_rows(report, classes, per_fold, full.theory, dataset.schema)
+    _fill_rows(report, classes, per_fold, learn_full(), dataset.schema)
     return report
 
 
@@ -205,14 +181,6 @@ def _guarded_theory(train: list[Interpretation], bias, params, classes,
     warnings = [f"fold {fold}: class {c} has no training positives; skipped"
                 for c in classes if c not in present]
     return learn_theory(train, bias, params, classes=usable), warnings
-
-
-def _fold_results(report: EvaluationReport, outcomes) -> list:
-    """Fold outcomes, with each fold's warnings added in fold order, so
-    the report does not depend on which pool thread finished first."""
-    for _, warns in outcomes:
-        report.warnings.extend(warns)
-    return [outcome for outcome, _ in outcomes]
 
 
 def _fold_outcome(theory: Theory, classes, train, test):

@@ -118,8 +118,7 @@ def _coverage(c: Clause, body: str, pool: Sequence[Interpretation],
               among: Iterable[int]) -> tuple[int, ...]:
     """The indices in among whose example c covers.  body is c's body
     text; each example's coverage memo answers a body it has seen before,
-    under any class or fold, and covers runs only on a miss.  Fold threads
-    may share a memo: a race at worst computes the same bool twice."""
+    under any class or fold, and covers runs only on a miss."""
     covered = []
     for i in among:
         e = pool[i]

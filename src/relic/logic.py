@@ -107,18 +107,6 @@ def apply_substitution(literal: Literal, subst: Mapping[str, Term]) -> Literal:
                                        for a in literal.args))
 
 
-def normalize(subst: Substitution) -> Substitution:
-    """Resolve variable-to-variable chains so application is idempotent."""
-    out: Substitution = {}
-    for var, term in subst.items():
-        seen = {var}
-        while is_variable(term) and term in subst and term not in seen:
-            seen.add(term)
-            term = subst[term]
-        out[var] = term
-    return out
-
-
 class FactIndex:
     """Ground facts indexed by (predicate, arity) for fast matching."""
 

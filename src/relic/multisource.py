@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .data import Dataset, Event, Interpretation
+from .data import Dataset, Event, Interpretation, succession_facts
 from .dlab import (ChoiceSpec, DlabTemplate, LiteralSpec, choice,
                    compile_template, inline, literal)
 from .errors import InternalError, ParseError, UsageError
@@ -35,7 +35,7 @@ class AggregationResult:
     dropped: list[tuple[int, str]]  # (situation, reason)
 
 
-def aggregate(dataset: Dataset, suc_window: int = 8) -> AggregationResult:
+def aggregate(dataset: Dataset) -> AggregationResult:
     """Union per-source facts per situation, recomputing cross-source
     suc/suci on the merged timeline; inconsistent or incomplete situations
     are dropped and reported."""
@@ -67,13 +67,8 @@ def aggregate(dataset: Dataset, suc_window: int = 8) -> AggregationResult:
                 origin[e.eid] = v.source
                 events.append(e)
         events.sort(key=lambda e: (e.time, e.eid))
-        for j, earlier in enumerate(events):
-            for i in range(j + 1, min(j + 1 + suc_window, len(events))):
-                if origin[events[i].eid] != origin[earlier.eid]:
-                    facts.add(Literal("suc", (events[i].eid, earlier.eid)))
-        for prev, nxt in zip(events, events[1:]):
-            if origin[nxt.eid] != origin[prev.eid]:
-                facts.add(Literal("suci", (nxt.eid, prev.eid)))
+        facts.update(succession_facts(events,
+                                      [origin[e.eid] for e in events]))
 
         out.append(Interpretation(situation=k, source="AGG",
                                   label=labels.pop(), facts=frozenset(facts),
@@ -409,8 +404,8 @@ class MultisourceResult:
 def biased_multisource_learn(dataset: Dataset,
                              biases: Mapping[str, DlabTemplate],
                              constraints: Iterable[InterleavingConstraint] = (),
-                             params: LearnerParams = LearnerParams(),
-                             suc_window: int = 8) -> MultisourceResult:
+                             params: LearnerParams = LearnerParams()
+                             ) -> MultisourceResult:
     """Learn per source, aggregate, interleave rule pairs into bottom
     clauses, build one bias per class, and learn again on aggregated data."""
     sources = dataset.sources()
@@ -426,7 +421,7 @@ def biased_multisource_learn(dataset: Dataset,
     for s in sources:
         mono[s] = learn_theory(dataset.by_source(s), biases[s], params)
 
-    agg = aggregate(dataset, suc_window=suc_window)
+    agg = aggregate(dataset)
 
     classes = sorted({i.label for i in dataset.interpretations})
     bottoms: dict[str, tuple[BottomClause, ...]] = {}

@@ -4,7 +4,7 @@ from conftest import ECG_BLOCK, ABP_BLOCK
 from relic import (GeneratorConfig, ParseError, SymbolizationConfig,
                    UsageError, check_consistency, generate_dataset,
                    parse_model_file, write_model_file)
-from relic.data import Event, Interpretation, saturate
+from relic.data import SUC_WINDOW, Event, Interpretation, saturate
 from relic.logic import Literal, lit
 from relic.synth import cardiac_schema
 
@@ -89,6 +89,15 @@ class TestSaturate:
         assert lit("suc", "r2", "r1") in s.facts
         assert lit("suci", "r2", "r1") in s.facts
         assert lit("qrs", "r1", "normal") in s.facts
+
+    def test_suc_window(self):
+        # suc reaches back SUC_WINDOW events and no further
+        i = _interp([Event(f"r{k}", "qrs", 1000 * k, ("normal",))
+                     for k in range(SUC_WINDOW + 3)])
+        s = saturate(i, CFG, SCHEMA)
+        gaps = {int(f.args[0][1:]) - int(f.args[1][1:])
+                for f in s.facts if f.pred == "suc"}
+        assert gaps == set(range(1, SUC_WINDOW + 1))
 
     def test_single_event_no_pairwise(self):
         i = _interp([Event("r1", "qrs", 1000, ("normal",))])

@@ -3,8 +3,8 @@ import pytest
 from relic import (GeneratorConfig, InterleavingConstraint, UsageError,
                    generate_dataset, monosource_biases)
 from relic.data import Dataset, Interpretation
-from relic.evaluate import (comp_metric, cross_validate, emit_report,
-                            make_folds)
+from relic.evaluate import (MODES, comp_metric, cross_validate,
+                            emit_report, make_folds)
 from relic.logic import clause, lit
 from relic.synth import cardiac_schema
 
@@ -108,21 +108,7 @@ class TestCrossValidate:
         with pytest.raises(UsageError):
             cross_validate(hand_dataset, "sideways", 2)
 
-    def test_thread_env_does_not_change_results(self, hand_dataset, hand_bias,
-                                                monkeypatch):
-        base = cross_validate(hand_dataset, "mono", 4,
-                              biases={"A": hand_bias}, source="A")
-        monkeypatch.setenv("RELIC_THREADS", "4")
-        threaded = cross_validate(hand_dataset, "mono", 4,
-                                  biases={"A": hand_bias}, source="A")
-
-        def stable(report):
-            return [(r.label, r.tracc, r.acc, r.comp, r.nodes)
-                    for r in report.rows]
-
-        assert stable(base) == stable(threaded)
-
-    def test_fold_warnings_in_fold_order(self, hand_bias, monkeypatch):
+    def test_fold_warnings_in_fold_order(self, hand_bias):
         # one situation per class: every leave-one-out fold trains without
         # the held-out class and warns about it
         labels = ("up", "down", "left", "right")
@@ -131,17 +117,9 @@ class TestCrossValidate:
                           SCHEMA, tuple(sorted(labels)))
         expected = [f"fold {k}: class {label} has no training positives; "
                     "skipped" for k, label in enumerate(labels)]
-        for threads in ("1", "2"):
-            monkeypatch.setenv("RELIC_THREADS", threads)
-            report = cross_validate(dataset, "mono", 4,
-                                    biases={"A": hand_bias}, source="A")
-            assert report.warnings == expected
-
-    def test_bad_thread_env(self, hand_dataset, hand_bias, monkeypatch):
-        monkeypatch.setenv("RELIC_THREADS", "many")
-        with pytest.raises(UsageError):
-            cross_validate(hand_dataset, "mono", 4, biases={"A": hand_bias},
-                           source="A")
+        report = cross_validate(dataset, "mono", 4,
+                                biases={"A": hand_bias}, source="A")
+        assert report.warnings == expected
 
 
 @pytest.fixture(scope="module")
@@ -163,29 +141,122 @@ class TestSmallPipelineCrossval:
             assert 0.0 <= row.tracc <= 1.0
             assert 0.0 <= row.acc <= 1.0
 
-    def test_thread_count_with_shared_memos(self, monkeypatch):
-        """Fold threads share each example's coverage memo; the thread
-        count changes neither rows nor warnings.  Each run starts from
-        fresh examples (cold memos), with frequent thread switches."""
-        import sys
+    def test_rerun_with_warm_memos(self):
+        """Every fold and the full run share each example's coverage memo,
+        and a second run on the same dataset starts with the memos the
+        first one filled; both runs give the same rows and warnings."""
+        ds = generate_dataset(GeneratorConfig(seed=2, per_class=2,
+                                              mode="split"))
 
-        def run(threads):
-            monkeypatch.setenv("RELIC_THREADS", threads)
-            ds = generate_dataset(GeneratorConfig(seed=2, per_class=2,
-                                                  mode="split"))
+        def run():
             report = cross_validate(ds, "biased", 2,
                                     biases=monosource_biases("split"))
             return ([(r.label, r.tracc, r.acc, r.comp, r.nodes)
                      for r in report.rows], report.warnings)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            serial, pooled = run("1"), run("2")
-        finally:
-            sys.setswitchinterval(interval)
-        assert serial[1]  # the split schema leaves some classes unlearned
-        assert serial == pooled
+        cold = run()
+        assert all(e.coverage_memo for e in ds.interpretations)
+        warm = run()
+        assert cold[1]  # the split schema leaves some classes unlearned
+        assert cold == warm
+
+
+# Every mode's report for 3 folds over generate_dataset(seed=2, per_class=2,
+# mode="split"), pinned as recorded: the held-out classes leave training
+# gaps, so every mode warns (biased mode without a fold number).
+_PINNED_FOLD_SETS = (frozenset(range(0, 5)), frozenset(range(5, 10)),
+                     frozenset(range(10, 14)))
+_PINNED = {
+    "mono": {
+        "rows": [
+            ("sr", 1.0, 0.8571428571428571, "3", 64),
+            ("ves", 1.0, 0.7142857142857143, "3", 78),
+            ("bige", 1.0, 0.7142857142857143, "3", 79),
+            ("doublet", 1.0, 0.8571428571428571, "4", 190),
+            ("vt", 0.9259259259259259, 0.7142857142857143, "0", 520),
+            ("svt", 0.9259259259259259, 0.5714285714285714, "0", 520),
+            ("af", 1.0, 0.7142857142857143, "3", 79),
+        ],
+        "meta": {"folds": "3"},
+        "audit_keys": ["QRS"],
+        "warnings": [
+            "fold 0: class sr has no training positives; skipped",
+            "fold 0: class ves has no training positives; skipped",
+            "fold 1: class doublet has no training positives; skipped",
+            "fold 1: class vt has no training positives; skipped",
+            "fold 2: class svt has no training positives; skipped",
+            "fold 2: class af has no training positives; skipped",
+        ],
+    },
+    "naive": {
+        "rows": [
+            ("sr", 1.0, 0.8571428571428571, "3", 372),
+            ("ves", 1.0, 0.8571428571428571, "3", 368),
+            ("bige", 1.0, 0.7142857142857143, "3", 372),
+            ("doublet", 0.8592592592592592, 0.8571428571428571, "0", 1009),
+            ("vt", 0.8592592592592592, 0.8571428571428571, "0", 1012),
+            ("svt", 0.9259259259259259, 0.5714285714285714, "0", 1150),
+            ("af", 1.0, 0.8571428571428571, "3", 372),
+        ],
+        "meta": {"folds": "3", "naive_max_events": "3"},
+        "audit_keys": ["AGG"],
+        "warnings": [
+            "fold 0: class sr has no training positives; skipped",
+            "fold 0: class ves has no training positives; skipped",
+            "fold 1: class doublet has no training positives; skipped",
+            "fold 1: class vt has no training positives; skipped",
+            "fold 2: class svt has no training positives; skipped",
+            "fold 2: class af has no training positives; skipped",
+        ],
+    },
+    "biased": {
+        "rows": [
+            ("sr", 1.0, 0.8571428571428571, "3", 104),
+            ("ves", 1.0, 0.5714285714285714, "3", 134),
+            ("bige", 1.0, 0.7142857142857143, "3", 134),
+            ("doublet", 1.0, 0.8571428571428571, "4", 24),
+            ("vt", 0.9259259259259259, 0.7142857142857143, "0", 0),
+            ("svt", 0.9259259259259259, 0.5714285714285714, "0", 0),
+            ("af", 1.0, 0.7142857142857143, "3", 8),
+        ],
+        "meta": {"folds": "3", "mono_nodes_P": "823", "mono_nodes_QRS": "1530"},
+        "audit_keys": ["P", "QRS", "AGG"],
+        "warnings": [
+            "class af: empty theory on P; pairing with the empty hypothesis",
+            "class doublet: empty theory on P; pairing with the empty hypothesis",
+            "class svt: no monosource rules on either source; skipped",
+            "class vt: no monosource rules on either source; skipped",
+            "class af: empty theory on P; pairing with the empty hypothesis",
+            "class svt: empty theory on P; pairing with the empty hypothesis",
+            "class doublet: empty theory on P; pairing with the empty hypothesis",
+            "class vt: empty theory on P; pairing with the empty hypothesis",
+            "class af: empty theory on P; pairing with the empty hypothesis",
+            "class doublet: empty theory on P; pairing with the empty hypothesis",
+            "class svt: no monosource rules on either source; skipped",
+            "class vt: no monosource rules on either source; skipped",
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_crossval_modes_pinned(mode):
+    dataset = generate_dataset(GeneratorConfig(seed=2, per_class=2,
+                                               mode="split"))
+    biases = monosource_biases("split")
+    kwargs = {"mono": dict(source="QRS", biases=biases),
+              "naive": dict(naive_max_events=3),
+              "biased": dict(biases=biases)}[mode]
+    report = cross_validate(dataset, mode, 3, **kwargs)
+    pinned = _PINNED[mode]
+    assert [(r.label, r.tracc, r.acc, r.comp, r.nodes)
+            for r in report.rows] == pinned["rows"]
+    assert [(k, v) for k, v in report.meta.items()
+            if "time" not in k] == list(pinned["meta"].items())
+    assert report.fold_audit == [dict.fromkeys(pinned["audit_keys"], s)
+                                 for s in _PINNED_FOLD_SETS]
+    assert [list(a) for a in report.fold_audit] == [pinned["audit_keys"]] * 3
+    assert report.warnings == pinned["warnings"]
 
 
 class TestEmitReport:

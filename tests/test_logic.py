@@ -10,7 +10,7 @@ from relic import UsageError, parse_model_file
 from relic.logic import (Clause, FactIndex, Literal, PredicateDecl,
                          PredicateSchema, apply_substitution,
                          canonical_text, clause, covers,
-                         find_covering_substitution, lit, normalize,
+                         find_covering_substitution, lit,
                          standardize_apart, theory_covers, theta_subsumes)
 
 
@@ -26,17 +26,6 @@ class TestApplySubstitution:
     def test_two_bindings(self):
         assert apply_substitution(lit("suc", "X", "Y"),
                                   {"X": "r8", "Y": "r7"}) == lit("suc", "r8", "r7")
-
-    def test_normalized_idempotent(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            c = random_small_clause(rng)
-            variables = [v for b in c.body for v in b.variables()]
-            raw = {v: rng.choice(["a", "b", "X", "Y", "Z"]) for v in variables}
-            theta = normalize(raw)
-            for b in c.body:
-                once = apply_substitution(b, theta)
-                assert apply_substitution(once, theta) == once
 
 
 class TestThetaSubsumes:

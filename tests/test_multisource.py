@@ -228,6 +228,12 @@ class TestAggregate:
         assert lit("suc", "r9", "pd4") in agg.facts
         cross_sucis = {f for f in agg.facts if f.pred == "suci"} - stored
         assert cross_sucis == {lit("suci", "p7", "ps4")}
+        # every added suc links an ECG event with an ABP one
+        ecg = {e.eid for e in parse_model_file(ECG_BLOCK)[0].raw_events}
+        added_sucs = {f for f in agg.facts if f.pred == "suc"} - stored
+        assert added_sucs
+        assert all((f.args[0] in ecg) != (f.args[1] in ecg)
+                   for f in added_sucs)
 
     def test_inconsistent_situation_dropped(self):
         left = parse_model_file(ECG_BLOCK)[0]
