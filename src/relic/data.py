@@ -8,10 +8,15 @@ The file format is block-structured:
     qrs(r7,5026,normal).
     end(model).
 
-Whitespace is insignificant outside tokens and ``%`` starts a comment that
-runs to end of line.  The identifier line carries ``<class>_<situation>_
-<source>``.  A fact whose second argument is an integer is an event record
-(id, timestamp in ms, attributes); everything else is kept verbatim.
+Every statement ends with ``.``.  ``%`` starts a comment that runs to end of
+line, anywhere, even inside a statement.  Whitespace, newlines included,
+may separate tokens and is otherwise ignored, but never joins them:
+``fo\\no.`` is a malformed fact, ``p(a,\\n b).`` is ``p(a,b)``.  A malformed
+file raises ParseError naming the line of the offending statement's first
+non-blank character (the command line prints it and exits 2).  The
+identifier line carries ``<class>_<situation>_<source>``.  A fact whose
+second argument is an integer is an event record (id, timestamp in ms,
+attributes); everything else is kept verbatim.
 Relational predicates (suc, suci, timing, amplitude categories) are derived
 by :func:`saturate`, never trusted from the file.
 """
@@ -30,6 +35,17 @@ _IDENT_RE = re.compile(r"^(\w+)_(\d+)_([A-Za-z][A-Za-z0-9]*)$")
 _FACT_RE = re.compile(r"^([a-z][A-Za-z0-9_]*)\s*(?:\(([^()]*)\))?$")
 _INT_RE = re.compile(r"^\d+$")
 _CONST_RE = re.compile(r"^[a-z0-9][A-Za-z0-9_]*$")
+_COMMENT_RE = re.compile(r"%[^\n]*")
+# Whitespace and empty statements in front of a statement.
+_BLANKS = r"(?:\s*\.)*\s*"
+_BLANKS_RE = re.compile(_BLANKS)
+_ARG = r"(?:[a-z0-9][A-Za-z0-9_]*|\d+)"
+# One statement and its '.': a fact with ground arguments (begin(model) and
+# end(model) among them) or a block identifier.
+_STMT_RE = re.compile(
+    _BLANKS + r"(?P<stmt>(?P<pred>[a-z][A-Za-z0-9_]*)"
+    rf"(?:\s*\(\s*(?P<args>{_ARG}(?:\s*,\s*{_ARG})*)\s*\))?"
+    r"|\w+_\d+_[A-Za-z][A-Za-z0-9]*)\s*\.")
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,126 +91,138 @@ class Interpretation:
         return f"{self.label}_{self.situation}_{self.source}"
 
 
-def _parse_statements(text: str):
-    """Yield (statement_text, line_number) pairs, comments stripped."""
-    buf: list[str] = []
-    start_line = 1
-    line = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch == ".":
-            stmt = "".join(buf).strip()
-            if stmt:
-                yield stmt, start_line
-            buf = []
-            start_line = line
-            i += 1
-            continue
-        if not buf and not ch.isspace():
-            start_line = line
-        buf.append(ch)
-        i += 1
-    tail = "".join(buf).strip()
-    if tail:
-        raise ParseError(f"trailing text without terminating '.': {tail!r}",
-                         line=start_line)
+def _is_event(args: tuple[str, ...]) -> bool:
+    """Whether ground arguments are an event record's: (id, integer
+    timestamp, attributes...)."""
+    return len(args) >= 2 and args[1].isdecimal() and not args[0].isdecimal()
 
 
-def _parse_fact(stmt: str, line: int) -> Literal:
+def _line(text: str, pos: int) -> int:
+    return text.count("\n", 0, pos) + 1
+
+
+def _rejection(stmt: str, state: str) -> str:
+    """Why a statement is not accepted where it stands: outside a block, as
+    a block's identifier, or among its facts."""
+    if stmt == "begin(model)":
+        return "begin(model) inside an open block"
+    if stmt == "end(model)":
+        return "end(model) without identified block"
+    if state == "outside":
+        return f"statement outside begin(model) block: {stmt!r}"
+    if state == "ident":
+        return (f"block identifier {stmt!r} does not match "
+                "<class>_<situation>_<source>")
     m = _FACT_RE.match(stmt)
     if not m:
-        raise ParseError(f"malformed fact {stmt!r}", line=line)
-    pred, argtext = m.group(1), m.group(2)
-    if argtext is None:
-        return Literal(pred)
-    args = tuple(a.strip() for a in argtext.split(","))
-    for a in args:
+        return f"malformed fact {stmt!r}"
+    argtext = m.group(2)
+    for a in [] if argtext is None else argtext.split(","):
+        a = a.strip()
         if not a:
-            raise ParseError(f"empty argument in {stmt!r}", line=line)
+            return f"empty argument in {stmt!r}"
         if not (_INT_RE.match(a) or _CONST_RE.match(a)):
-            raise ParseError(f"non-ground or malformed argument {a!r} in fact "
-                             f"{stmt!r}", line=line)
-    return Literal(pred, args)
+            return f"non-ground or malformed argument {a!r} in fact {stmt!r}"
+    raise InternalError(f"fact {stmt!r} is valid but was not scanned")
 
 
-def _is_event_fact(f: Literal) -> bool:
-    return (len(f.args) >= 2 and _INT_RE.match(f.args[1]) is not None
-            and _CONST_RE.match(f.args[0]) is not None
-            and not _INT_RE.match(f.args[0]))
+def _reject(text: str, m: re.Match, state: str) -> ParseError:
+    return ParseError(_rejection(m["stmt"], state),
+                      line=_line(text, m.start("stmt")))
+
+
+def _diagnose(text: str, pos: int, state: str) -> None:
+    """Raise the ParseError for the statement at pos that the scanner did
+    not match; return if only blanks are left."""
+    start = _BLANKS_RE.match(text, pos).end()
+    if start == len(text):
+        return
+    end = text.find(".", start)
+    if end < 0:
+        raise ParseError("trailing text without terminating '.': "
+                         f"{text[start:].rstrip()!r}", line=_line(text, start))
+    raise ParseError(_rejection(text[start:end].rstrip(), state),
+                     line=_line(text, start))
 
 
 def parse_model_file(text: str) -> list[Interpretation]:
-    """Parse every begin(model)/end(model) block of text."""
+    """Parse every begin(model)/end(model) block of text.
+
+    One regular expression scans the text statement by statement and
+    accepts every statement it reads; line numbers are only counted for
+    the error raised when a statement is rejected."""
+    if "%" in text:
+        text = _COMMENT_RE.sub("", text)
+    scan = _STMT_RE.match
     out: list[Interpretation] = []
-    in_block = False
-    ident: tuple[str, int, str] | None = None
-    facts: list[Literal] = []
-    events: list[Event] = []
-    open_line = 0
-
-    for stmt, line in _parse_statements(text):
-        if stmt == "begin(model)":
-            if in_block:
-                raise ParseError("begin(model) inside an open block", line=line)
-            in_block, ident, facts, events = True, None, [], []
-            open_line = line
-            continue
-        if stmt == "end(model)":
-            if not in_block or ident is None:
-                raise ParseError("end(model) without identified block", line=line)
-            label, situation, source = ident
-            out.append(Interpretation(situation=situation, source=source,
-                                      label=label, facts=frozenset(facts),
-                                      raw_events=tuple(events)))
-            in_block = False
-            continue
-        if not in_block:
-            raise ParseError(f"statement outside begin(model) block: {stmt!r}",
-                             line=line)
+    pos = 0
+    while m := scan(text, pos):
+        if m["stmt"] != "begin(model)":
+            raise _reject(text, m, "outside")
+        opened = m.start("stmt")
+        pos = m.end()
+        m = scan(text, pos)
+        if m is None:
+            _diagnose(text, pos, "ident")
+            raise ParseError("missing end(model).", line=_line(text, opened))
+        ident = _IDENT_RE.match(m["stmt"])
         if ident is None:
-            m = _IDENT_RE.match(stmt)
-            if not m:
-                raise ParseError(
-                    f"block identifier {stmt!r} does not match "
-                    "<class>_<situation>_<source>", line=line)
-            ident = (m.group(1), int(m.group(2)), m.group(3))
-            continue
-        fact = _parse_fact(stmt, line)
-        facts.append(fact)
-        if _is_event_fact(fact):
-            events.append(Event(eid=fact.args[0], pred=fact.pred,
-                                time=int(fact.args[1]), attrs=fact.args[2:]))
-
-    if in_block:
-        raise ParseError("missing end(model).", line=open_line)
+            raise _reject(text, m, "ident")
+        facts: list[Literal] = []
+        events: list[Event] = []
+        while True:
+            pos = m.end()
+            m = scan(text, pos)
+            if m is None:
+                _diagnose(text, pos, "facts")
+                raise ParseError("missing end(model).", line=_line(text, opened))
+            stmt, pred, argtext = m.groups()
+            if argtext is None:
+                if pred is None:
+                    raise _reject(text, m, "facts")
+                facts.append(Literal(pred))
+                continue
+            if pred == "end" and stmt == "end(model)":
+                break
+            if pred == "begin" and stmt == "begin(model)":
+                raise _reject(text, m, "facts")
+            args = argtext.split(",")
+            if " " in argtext or not argtext.isprintable():
+                args = map(str.strip, args)  # whitespace around commas
+            args = tuple(args)
+            facts.append(Literal(pred, args))
+            if _is_event(args):
+                events.append(Event(args[0], pred, int(args[1]), args[2:]))
+        out.append(Interpretation(
+            situation=int(ident[2]), source=ident[3], label=ident[1],
+            facts=frozenset(facts), raw_events=tuple(events)))
+        pos = m.end()
+    _diagnose(text, pos, "outside")
     return out
 
 
 def write_model_file(interpretations: Sequence[Interpretation]) -> str:
-    """Inverse of parse_model_file (structural round-trip identity)."""
-    lines: list[str] = []
+    """Inverse of parse_model_file (structural round-trip identity): per
+    block, the event facts by (timestamp, id), then the other facts in
+    text order."""
+    statements: list[str] = []
     for interp in interpretations:
-        lines.append("begin(model).")
-        lines.append(f"{interp.ident}.")
-        event_facts = []
-        other_facts = []
-        for f in sorted(interp.facts, key=str):
-            (event_facts if _is_event_fact(f) else other_facts).append(f)
-        event_facts.sort(key=lambda f: (int(f.args[1]), f.args[0]))
-        for f in event_facts + other_facts:
-            lines.append(f"{f}.")
-        lines.append("end(model).")
-    return "\n".join(lines) + ("\n" if lines else "")
+        events: list[tuple[int, str, str]] = []
+        others: list[str] = []
+        for f in interp.facts:
+            text = str(f)
+            if _is_event(f.args):
+                events.append((int(f.args[1]), f.args[0], text))
+            else:
+                others.append(text)
+        events.sort()
+        others.sort()
+        statements.append("begin(model)")
+        statements.append(interp.ident)
+        statements.extend(e[2] for e in events)
+        statements.extend(others)
+        statements.append("end(model)")
+    return ".\n".join(statements) + ".\n" if statements else ""
 
 
 # --------------------------------------------------------------------------
@@ -310,14 +338,19 @@ def saturate(interp: Interpretation, cfg: SymbolizationConfig,
                 cat = _timing_cat(cfg, decl.scale, b.time - a.time)
                 derived.append(Literal(decl.name, (a.eid, b.eid, cat)))
         elif kind == "next":
-            firsts = by_pred.get(decl.derive[1], [])
+            # both streams are time-ordered: one pointer walks the seconds
+            # to the first one after each first
             seconds = by_pred.get(decl.derive[2], [])
-            for a in firsts:
-                later = [b for b in seconds if (b.time, b.eid) > (a.time, a.eid)]
-                if later:
-                    b = later[0]
-                    cat = _timing_cat(cfg, decl.scale, b.time - a.time)
-                    derived.append(Literal(decl.name, (a.eid, b.eid, cat)))
+            j = 0
+            for a in by_pred.get(decl.derive[1], []):
+                while (j < len(seconds)
+                       and (seconds[j].time, seconds[j].eid) <= (a.time, a.eid)):
+                    j += 1
+                if j == len(seconds):
+                    break
+                b = seconds[j]
+                cat = _timing_cat(cfg, decl.scale, b.time - a.time)
+                derived.append(Literal(decl.name, (a.eid, b.eid, cat)))
         elif kind == "cycle":
             derived.extend(_derive_cycles(events, decl.derive[1],
                                           decl.derive[2], decl.name, cfg))

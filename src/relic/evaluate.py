@@ -115,7 +115,8 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
                 dataset.restrict([s for s in dataset.situations()
                                   if s not in test_ids]),
                 biases, constraints, params)
-            return result.theory, result.aggregated, result.warnings
+            return (result.theory, result.aggregated,
+                    [f"fold {fold}: {w}" for w in result.warnings])
 
         def audit(test_ids: frozenset[int], test: list[Interpretation]):
             entry = {src: frozenset(s for s in test_ids

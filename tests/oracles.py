@@ -1,11 +1,15 @@
 """Brute-force reference implementations the fast code is checked against.
 
-These enumerate substitutions exhaustively and never share code with the
-package's matching routines.
+These enumerate substitutions exhaustively, or read text with plain string
+methods, and never share code with the package's matching routines or its
+fact-file scanner.
 """
 
 from itertools import product
+from string import ascii_letters, ascii_lowercase, digits
 
+from relic.data import Event, Interpretation
+from relic.errors import ParseError
 from relic.logic import Clause, Literal, is_variable
 
 
@@ -75,3 +79,88 @@ def _consistent(body, combo):
             elif a != g:
                 return None
     return theta
+
+
+def brute_parse_model_file(text):
+    """Fact files read the plain way: drop each line's comment, split the
+    text at every '.', strip each piece and check it with string methods.
+    An error names the line of the statement's first non-blank character."""
+    text = "\n".join(line.split("%", 1)[0] for line in text.split("\n"))
+    pieces = text.split(".")
+    out = []
+    block = None  # [line of begin, identifier or None, facts, events]
+    offset = 0
+    for k, piece in enumerate(pieces):
+        stmt = piece.strip()
+        first = offset + len(piece) - len(piece.lstrip())
+        line = text[:first].count("\n") + 1
+        offset += len(piece) + 1
+        if not stmt:
+            continue
+        if k == len(pieces) - 1:
+            raise ParseError(
+                f"trailing text without terminating '.': {stmt!r}", line=line)
+        if stmt == "begin(model)":
+            if block is not None:
+                raise ParseError("begin(model) inside an open block", line=line)
+            block = [line, None, [], []]
+        elif stmt == "end(model)":
+            if block is None or block[1] is None:
+                raise ParseError("end(model) without identified block",
+                                 line=line)
+            (label, situation, source), facts, events = block[1:]
+            out.append(Interpretation(situation=situation, source=source,
+                                      label=label, facts=frozenset(facts),
+                                      raw_events=tuple(events)))
+            block = None
+        elif block is None:
+            raise ParseError(f"statement outside begin(model) block: {stmt!r}",
+                             line=line)
+        elif block[1] is None:
+            block[1] = _brute_identifier(stmt, line)
+        else:
+            fact = _brute_fact(stmt, line)
+            block[2].append(fact)
+            a = fact.args
+            if len(a) >= 2 and a[1].isdecimal() and not a[0].isdecimal():
+                block[3].append(Event(a[0], fact.pred, int(a[1]), a[2:]))
+    if block is not None:
+        raise ParseError("missing end(model).", line=block[0])
+    return out
+
+
+_NAME_CHARS = ascii_letters + digits + "_"
+
+
+def _brute_identifier(stmt, line):
+    parts = stmt.rsplit("_", 2)
+    if (len(parts) == 3 and parts[0]
+            and all(c.isalnum() or c == "_" for c in parts[0])
+            and parts[1].isdecimal()
+            and parts[2] and parts[2][0] in ascii_letters
+            and all(c in ascii_letters + digits for c in parts[2])):
+        return parts[0], int(parts[1]), parts[2]
+    raise ParseError(f"block identifier {stmt!r} does not match "
+                     "<class>_<situation>_<source>", line=line)
+
+
+def _brute_fact(stmt, line):
+    n = 1 if stmt[0] in ascii_lowercase else 0
+    while n and n < len(stmt) and stmt[n] in _NAME_CHARS:
+        n += 1
+    rest = stmt[n:].lstrip()
+    if n and not rest:
+        return Literal(stmt[:n])
+    inner = rest[1:-1]
+    if (not n or rest[:1] != "(" or rest[-1:] != ")"
+            or "(" in inner or ")" in inner):
+        raise ParseError(f"malformed fact {stmt!r}", line=line)
+    args = tuple(a.strip() for a in inner.split(","))
+    for a in args:
+        if not a:
+            raise ParseError(f"empty argument in {stmt!r}", line=line)
+        if not (a.isdecimal() or (a[0] in ascii_lowercase + digits
+                                  and all(c in _NAME_CHARS for c in a[1:]))):
+            raise ParseError(f"non-ground or malformed argument {a!r} in fact "
+                             f"{stmt!r}", line=line)
+    return Literal(stmt[:n], args)

@@ -1,5 +1,8 @@
 import pytest
 from conftest import ECG_BLOCK, ABP_BLOCK
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import brute_parse_model_file
 
 from relic import (GeneratorConfig, ParseError, SymbolizationConfig,
                    UsageError, check_consistency, generate_dataset,
@@ -51,6 +54,39 @@ class TestParse:
         with pytest.raises(ParseError, match="non-ground"):
             parse_model_file(text)
 
+    def test_error_line_in_readme_layout(self):
+        # comments after statements, as in the README; the bad fact is on
+        # line 4, not on the line where the previous statement ended
+        text = ("begin(model).\n"
+                "doublet_3_ECG.            % <class>_<situation>_<source>\n"
+                "p(p7,4905,normal).        % event: id, timestamp (ms), ...\n"
+                "qrs(r7,50 26,normal).\n"
+                "end(model).\n")
+        with pytest.raises(ParseError, match=r"^line 4: non-ground or "
+                           r"malformed argument '50 26'"):
+            parse_model_file(text)
+
+    def test_error_line_of_indented_statement(self):
+        text = "begin(model).\nsr_1_ECG.\n\n    qrs(R1,100,normal).\nend(model)."
+        with pytest.raises(ParseError, match="^line 4: non-ground"):
+            parse_model_file(text)
+
+    def test_missing_dot_reports_first_line_of_tail(self):
+        text = "begin(model).\nsr_1_ECG.  % c\n\n  qrs(r1,\n100)\n"
+        with pytest.raises(ParseError, match="^line 4: trailing text"):
+            parse_model_file(text)
+
+    def test_newline_never_joins_tokens(self):
+        text = "begin(model).\nsr_1_ECG.\nfo\no.\nend(model)."
+        with pytest.raises(ParseError, match=r"^line 3: malformed fact 'fo\\no'"):
+            parse_model_file(text)
+
+    def test_newline_separates_arguments(self):
+        text = "begin(model).\nsr_1_ECG.\np(a,\n b).\nq(r1, % c\n 5).\nend(model)."
+        i = parse_model_file(text)[0]
+        assert i.facts == {lit("p", "a", "b"), lit("q", "r1", "5")}
+        assert i.raw_events == (Event("r1", "q", 5),)
+
 
 class TestWrite:
     def test_round_trip_both_blocks(self):
@@ -66,11 +102,141 @@ class TestWrite:
         text = write_model_file(interps)
         assert text.index("doublet_3_I") < text.index("rs_3_ABP")
 
+    def test_layout(self):
+        # events by (timestamp, id), then the other facts in text order,
+        # where a bare name sorts before its applications
+        facts = {lit("qrs", "r2", "10"), lit("p", "z9", "10"),
+                 lit("qrs", "r1", "10"), lit("p", "p1", "5", "a"), lit("p"),
+                 lit("p", "x"), lit("suc", "r2", "r1")}
+        i = Interpretation(situation=4, source="ECG", label="sr",
+                           facts=frozenset(facts),
+                           raw_events=(Event("r2", "qrs", 10),
+                                       Event("z9", "p", 10),
+                                       Event("r1", "qrs", 10),
+                                       Event("p1", "p", 5, ("a",))))
+        assert write_model_file([i]) == (
+            "begin(model).\nsr_4_ECG.\np(p1,5,a).\nqrs(r1,10).\n"
+            "qrs(r2,10).\np(z9,10).\np.\np(x).\nsuc(r2,r1).\n"
+            "end(model).\n")
+
     def test_round_trip_generated(self):
         ds = generate_dataset(GeneratorConfig(seed=3, per_class=2))
         for source in ds.sources():
             pool = ds.by_source(source)
             assert parse_model_file(write_model_file(pool)) == pool
+
+
+# Fact files built from valid blocks, then damaged in up to two places.
+# Separators between tokens may hold newlines and comments (with '.' and
+# parentheses in them); a separator inside a token breaks the token.
+SEPS = st.sampled_from(["", "", "", "", "", "", " ", "\n", "\t \n  ",
+                        " % c.(x)\n"])
+GAPS = st.sampled_from(["\n", "\n", "", " ", "\n\n", "  % note. (\n",
+                        " . \n"])
+IDENTS = st.sampled_from(["sr_1_ECG", "af_12_ABP", "a_b_3_P", "AF_2_X1",
+                          "sr_01_E"])
+PREDS = st.sampled_from(["qrs", "p", "suc", "a_B1", "end", "begin"])
+ARGS = st.sampled_from(["r1", "r2", "5026", "007", "normal", "0a", "x_Y"])
+BROKEN = st.sampled_from([
+    "sr1ECG", "sr_x_ECG", "sr_1_2", "sr_1_E(x)", "Qrs(a)", "9p", "q(R1)",
+    "q(_a)", "q(a-b)", "q()", "q(a,)", "q(a", "q(a))", "q(a)(b)", "fo\no",
+    "q(50 26)", "begin( model)", "begin(model)", "end(model)", "q(a)",
+    "sr_1_P"])
+TAILS = st.sampled_from(["", "", "", "", "", "", "\n", "\n", "% end",
+                         "\n q(a)\n"])
+
+
+@st.composite
+def fact_statements(draw, eid):
+    pred = draw(PREDS)
+    if draw(st.integers(0, 4)) == 0:
+        return pred
+    args = [eid] + draw(st.lists(ARGS, max_size=3))
+    if draw(st.integers(0, 6)) == 0:
+        args[0] = draw(ARGS)  # now and then two events share an id
+    parts = [pred, draw(SEPS), "(", draw(SEPS)]
+    for k, a in enumerate(args):
+        if k:
+            parts += [draw(SEPS), ",", draw(SEPS)]
+        parts.append(a)
+    return "".join(parts + [draw(SEPS), ")"])
+
+
+@st.composite
+def fact_files(draw):
+    statements = []
+    for _ in range(draw(st.integers(0, 3))):
+        statements += ["begin(model)", draw(IDENTS)]
+        statements += [draw(fact_statements(f"e{k}"))
+                       for k in range(draw(st.integers(0, 5)))]
+        statements.append("end(model)")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(statements)))
+        how = draw(st.sampled_from(["insert", "replace", "drop", "split"]))
+        if how == "insert" or at == len(statements):
+            statements.insert(at, draw(BROKEN))
+        elif how == "replace":
+            statements[at] = draw(BROKEN)
+        elif how == "drop":
+            del statements[at]
+        else:
+            stmt = statements[at]
+            k = draw(st.integers(0, len(stmt)))
+            statements[at] = stmt[:k] + draw(SEPS) + stmt[k:]
+    text = "".join(draw(GAPS) + stmt + draw(SEPS) + "." for stmt in statements)
+    return text + draw(TAILS)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, UsageError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def interpretation_lists(draw):
+    out = []
+    for situation in draw(st.lists(st.integers(0, 99), max_size=3)):
+        facts = draw(st.frozensets(st.builds(
+            Literal, st.sampled_from(["qrs", "p", "suc", "a_B1"]),
+            st.lists(st.sampled_from(["r1", "r2", "5026", "007", "0",
+                                      "normal", "0a", "x_Y"]),
+                     max_size=4).map(tuple)), max_size=8))
+        events = [Event(f.args[0], f.pred, int(f.args[1]), f.args[2:])
+                  for f in facts if len(f.args) >= 2
+                  and f.args[1].isdecimal() and not f.args[0].isdecimal()]
+        if len({e.eid for e in events}) < len(events):
+            continue
+        out.append(Interpretation(
+            situation=situation, source=draw(st.sampled_from(["ECG", "P"])),
+            label=draw(st.sampled_from(["sr", "a_b", "v1"])), facts=facts,
+            raw_events=tuple(events)))
+    return out
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
+                    database=None)
+
+
+class TestParseProperties:
+    """The scanner against the plain reference parser, and the writer
+    against the scanner, on random texts and interpretations."""
+
+    @PROPERTY
+    @given(fact_files())
+    @example(ECG_BLOCK + ABP_BLOCK)
+    @example("begin(model).\nsr_1_E.\nfo\no.\nend(model).")
+    @example("begin(model). .. sr_1_E.\n  q(r1 , 5 ) . end(model). .")
+    @example("begin(model).\nsr_1_E.\nq(r1,5).\np(r1,6).\nend(model).\n")
+    def test_parse_matches_reference(self, text):
+        assert _outcome(parse_model_file, text) == _outcome(
+            brute_parse_model_file, text)
+
+    @PROPERTY
+    @given(interpretation_lists())
+    def test_write_then_parse_round_trip(self, interps):
+        assert parse_model_file(write_model_file(interps)) == interps
 
 
 def _interp(events, label="sr", situation=1, source="ECG"):
@@ -98,6 +264,25 @@ class TestSaturate:
         gaps = {int(f.args[0][1:]) - int(f.args[1][1:])
                 for f in s.facts if f.pred == "suc"}
         assert gaps == set(range(1, SUC_WINDOW + 1))
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.tuples(st.sampled_from(["p", "qrs", "dias", "sys"]),
+                              st.integers(0, 6)), max_size=12))
+    def test_next_pairs_each_event_with_the_first_later_one(self, stream):
+        i = _interp([Event(f"e{k}", pred, 100 * t)
+                     for k, (pred, t) in enumerate(stream)])
+        events = i.raw_events
+        expected = set()
+        for name, first, second in (("pr1", "p", "qrs"), ("ds1", "dias", "sys")):
+            for a in events:
+                later = [b for b in events if b.pred == second
+                         and (b.time, b.eid) > (a.time, a.eid)]
+                if a.pred == first and later:
+                    expected.add((name, a.eid, later[0].eid))
+        s = saturate(i, CFG, SCHEMA)
+        assert {(f.pred, *f.args[:2]) for f in s.facts
+                if f.pred in ("pr1", "ds1")} == expected
 
     def test_single_event_no_pairwise(self):
         i = _interp([Event("r1", "qrs", 1000, ("normal",))])

@@ -163,7 +163,8 @@ class TestSmallPipelineCrossval:
 
 # Every mode's report for 3 folds over generate_dataset(seed=2, per_class=2,
 # mode="split"), pinned as recorded: the held-out classes leave training
-# gaps, so every mode warns (biased mode without a fold number).
+# gaps, so every mode warns (a fold's warnings carry its number, the full
+# run's do not).
 _PINNED_FOLD_SETS = (frozenset(range(0, 5)), frozenset(range(5, 10)),
                      frozenset(range(10, 14)))
 _PINNED = {
@@ -222,14 +223,14 @@ _PINNED = {
         "meta": {"folds": "3", "mono_nodes_P": "823", "mono_nodes_QRS": "1530"},
         "audit_keys": ["P", "QRS", "AGG"],
         "warnings": [
-            "class af: empty theory on P; pairing with the empty hypothesis",
-            "class doublet: empty theory on P; pairing with the empty hypothesis",
-            "class svt: no monosource rules on either source; skipped",
-            "class vt: no monosource rules on either source; skipped",
-            "class af: empty theory on P; pairing with the empty hypothesis",
-            "class svt: empty theory on P; pairing with the empty hypothesis",
-            "class doublet: empty theory on P; pairing with the empty hypothesis",
-            "class vt: empty theory on P; pairing with the empty hypothesis",
+            "fold 0: class af: empty theory on P; pairing with the empty hypothesis",
+            "fold 0: class doublet: empty theory on P; pairing with the empty hypothesis",
+            "fold 0: class svt: no monosource rules on either source; skipped",
+            "fold 0: class vt: no monosource rules on either source; skipped",
+            "fold 1: class af: empty theory on P; pairing with the empty hypothesis",
+            "fold 1: class svt: empty theory on P; pairing with the empty hypothesis",
+            "fold 2: class doublet: empty theory on P; pairing with the empty hypothesis",
+            "fold 2: class vt: empty theory on P; pairing with the empty hypothesis",
             "class af: empty theory on P; pairing with the empty hypothesis",
             "class doublet: empty theory on P; pairing with the empty hypothesis",
             "class svt: no monosource rules on either source; skipped",
