@@ -7,7 +7,6 @@ learner searches.
 
 from relic import (clause, count_space, enumerate_bodies, lit, member,
                    parse_dlab, refine, start_selection)
-from relic.dlab import clause_of
 
 GRAMMAR = """
 len-len:[
@@ -47,12 +46,11 @@ print("two-beat clause in space:", member(inside, bias))
 print("unknown attribute in space:", member(outside, bias))
 
 # The refinement operator adds the fewest choices that reach the next
-# valid selection; the learner's beam walks these levels top down.
+# valid selection; the learner's beam walks these levels top down.  Each
+# child carries its selection, the body it induces and that body's text.
 level = [start_selection(bias)]
 for depth in range(1, 4):
-    nxt = []
-    for sel in level:
-        nxt.extend(refine(bias, sel))
+    nxt = [child for sel in level for child in refine(bias, sel)]
     print(f"depth {depth}: {len(nxt)} refinements, e.g.",
-          clause_of(bias, nxt[0], "x"))
-    level = nxt[:3]
+          clause("x", nxt[0].body))
+    level = [child.sel for child in nxt[:3]]

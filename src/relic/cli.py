@@ -40,6 +40,16 @@ def _load(path: str, parse):
         raise UsageError(f"{path}: {exc}") from exc
 
 
+def _write(path: Path, text: str) -> None:
+    """Write one output file, making its directory; a path that cannot be
+    written is the user's mistake, reported as a usage error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _parse_report(text: str) -> EvaluationReport:
     try:
         payload = json.loads(text)
@@ -88,26 +98,24 @@ def _params(args) -> LearnerParams:
                          max_clauses_per_class=args.max_clauses)
 
 
-def _print_theory(theory, stream=None):
-    stream = stream if stream is not None else sys.stdout
+def _theory_text(theory) -> str:
+    lines = []
     for label, result in theory.per_class.items():
         flag = "" if result.complete else "  %% incomplete"
-        print(f"%% class {label}: {len(result.clauses)} clause(s), "
-              f"{result.stats.nodes} nodes, {result.stats.time_ms:.0f} ms{flag}",
-              file=stream)
-        for c in result.clauses:
-            print(str(c), file=stream)
+        lines.append(f"%% class {label}: {len(result.clauses)} clause(s), "
+                     f"{result.stats.nodes} nodes, "
+                     f"{result.stats.time_ms:.0f} ms{flag}")
+        lines.extend(str(c) for c in result.clauses)
+    return "".join(line + "\n" for line in lines)
 
 
 def cmd_synth(args) -> int:
     cfg = GeneratorConfig(seed=args.seed, per_class=args.per_class,
                           cycles=args.cycles, mode=args.mode)
     dataset = generate_dataset(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for source in dataset.sources():
-        path = out / f"{source}.facts"
-        path.write_text(write_model_file(dataset.by_source(source)))
+        path = Path(args.out) / f"{source}.facts"
+        _write(path, write_model_file(dataset.by_source(source)))
         print(f"wrote {path}")
     return 0
 
@@ -119,7 +127,7 @@ def cmd_learn(args) -> int:
     if not pool:
         raise UsageError(f"no interpretations for source {args.source}")
     theory = learn_theory(pool, bias, _params(args))
-    _print_theory(theory)
+    print(_theory_text(theory), end="")
     return 0
 
 
@@ -128,7 +136,7 @@ def cmd_learn_naive(args) -> int:
     agg = aggregate(dataset).examples
     bias = naive_bias(dataset.schema, args.max_events)
     theory = learn_theory(agg, bias, _params(args))
-    _print_theory(theory)
+    print(_theory_text(theory), end="")
     return 0
 
 
@@ -141,19 +149,16 @@ def cmd_learn_biased(args) -> int:
                                       _params(args))
     for w in result.warnings:
         print(f"%% warning: {w}", file=sys.stderr)
-    _print_theory(result.theory)
+    print(_theory_text(result.theory), end="")
     if args.artifacts:
         art = Path(args.artifacts)
-        art.mkdir(parents=True, exist_ok=True)
         for source, theory in result.mono.items():
-            with open(art / f"mono_{source}.rules", "w") as fh:
-                _print_theory(theory, fh)
+            _write(art / f"mono_{source}.rules", _theory_text(theory))
         for label, bottoms in result.bottoms.items():
-            with open(art / f"bottoms_{label}.rules", "w") as fh:
-                for bt in bottoms:
-                    print(str(bt.clause), file=fh)
+            _write(art / f"bottoms_{label}.rules",
+                   "".join(f"{bt.clause}\n" for bt in bottoms))
         for label, bias in result.class_biases.items():
-            (art / f"bias_{label}.dlab").write_text(template_text(bias) + "\n")
+            _write(art / f"bias_{label}.dlab", template_text(bias) + "\n")
         print(f"artifacts written under {art}")
     return 0
 
@@ -179,7 +184,7 @@ def cmd_crossval(args) -> int:
     if args.json:
         payload = {"mode": report.mode, "meta": report.meta,
                    "rows": [vars(r) for r in report.rows]}
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+        _write(Path(args.json), json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.json}")
     print(emit_report(report, args.format), end="")
     return 0

@@ -22,7 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 from .errors import BiasError, ParseError, UsageError
 from .logic import Clause, Literal, Term
@@ -319,11 +319,6 @@ class Selection:
                 return v
         return ()
 
-    def with_pick(self, nid: int, idx: int) -> "Selection":
-        d = dict(self.picks)
-        d[nid] = tuple(sorted((*d.get(nid, ()), idx)))
-        return Selection(tuple(sorted(d.items())))
-
     def merged(self, extra: Mapping[int, tuple[int, ...]]) -> "Selection":
         d = dict(self.picks)
         for k, v in extra.items():
@@ -571,27 +566,44 @@ def _reached_nodes(t: DlabTemplate, sel: Selection) -> list[int]:
     return out
 
 
-def refine(t: DlabTemplate, sel: Selection) -> list[Selection]:
+class Refinement(NamedTuple):
+    """One child of refine: its selection, the body it induces (in tree
+    order) and that body's text, the sorted literal texts joined by ", "."""
+
+    sel: Selection
+    body: tuple[Literal, ...]
+    text: str
+
+
+def refine(t: DlabTemplate, sel: Selection) -> list[Refinement]:
     """All minimal valid selections strictly extending sel whose induced
-    clause strictly grows.
+    clause strictly grows, each with the body it induces and its text.
 
     From the empty start selection this yields the min-completions of the
     root (the most general clauses of the space).  Extensions that leave
     the clause unchanged (a newly chosen subtree contributing no literal)
-    are transparently refined further.  Output is sorted by induced body
-    text so results are deterministic regardless of evaluation order.
+    are transparently refined further.  Children are sorted by the tuple of
+    their sorted literal texts, then by picks, so results are deterministic
+    regardless of evaluation order.
     """
+    found = _refinements(t, sel)
+    return [found[k] for k in sorted(found)]
+
+
+def _refinements(t: DlabTemplate, sel: Selection) -> dict[tuple, Refinement]:
+    """refine's children keyed by (sorted literal texts, picks)."""
     base_key = tuple(sorted(str(b) for b in induce_body(t, sel)))
-    results: dict[tuple, Selection] = {}
+    results: dict[tuple, Refinement] = {}
 
     def consider(candidate: Selection):
-        key = tuple(sorted(str(b) for b in induce_body(t, candidate)))
+        body = induce_body(t, candidate)
+        key = tuple(sorted(str(b) for b in body))
         if key == base_key:
-            for deeper in refine(t, candidate):
-                dkey = tuple(sorted(str(b) for b in induce_body(t, deeper)))
-                results.setdefault((dkey, deeper.picks), deeper)
-        else:
-            results.setdefault((key, candidate.picks), candidate)
+            for k, deeper in _refinements(t, candidate).items():
+                results.setdefault(k, deeper)
+        elif (key, candidate.picks) not in results:
+            results[key, candidate.picks] = Refinement(candidate, body,
+                                                       ", ".join(key))
 
     if not is_valid(t, sel):
         if sel.picks:
@@ -608,12 +620,12 @@ def refine(t: DlabTemplate, sel: Selection) -> list[Selection]:
             if isinstance(node, InlineNode):
                 for idx in range(len(node.elements)):
                     if idx not in chosen:
-                        consider(sel.with_pick(nid, idx))
+                        consider(sel.merged({nid: (idx,)}))
             else:
                 for idx in range(len(node.children)):
                     if idx in chosen:
                         continue
                     for completion in _min_completions(t, node.children[idx]):
-                        consider(sel.with_pick(nid, idx).merged(completion))
+                        consider(sel.merged({nid: (idx,)}).merged(completion))
 
-    return [results[k] for k in sorted(results, key=lambda kk: (kk[0], kk[1]))]
+    return results

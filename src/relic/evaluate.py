@@ -29,7 +29,6 @@ MODES = ("mono", "naive", "biased")
 class FoldPlan:
     """Ordered test sets partitioning the situation ids."""
 
-    fold_count: int
     test_sets: tuple[tuple[int, ...], ...]
 
 
@@ -47,7 +46,7 @@ def make_folds(situations: Sequence[int], p: int) -> FoldPlan:
         size = base + (1 if j < rem else 0)
         sets.append(tuple(ordered[at:at + size]))
         at += size
-    return FoldPlan(p, tuple(sets))
+    return FoldPlan(tuple(sets))
 
 
 def comp_metric(clauses: Sequence[Clause], schema: PredicateSchema) -> str:

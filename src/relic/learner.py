@@ -1,14 +1,16 @@
 """Top-down rule induction per class: beam search under a DLAB bias with the
-accuracy heuristic, a zero-false-positive stop rule, and a covering loop.
+accuracy heuristic, a fixed stop rule (fp = 0 and tp >= 1), and a covering
+loop; LearnerParams sets only the beam width and the clause budget.
 
-The search identifies a clause by its body text: the sorted literal texts
-joined by ", " (every clause of one search has the head class(label)).  The
-same text keys each example's coverage memo (Interpretation.coverage_memo),
-so a body is tested against an example once however many classes, covering
-rounds and cross-validation folds reach it.  This is sound because whether
-a body covers an interpretation depends only on the body, order aside, and
-on the example's facts, which never change; not on the class label, the
-head or the fold.  The memo lives and dies with its example: the folds of a
+The search identifies a clause by the body text dlab.refine hands it with
+each child's selection and body: the sorted literal texts joined by ", "
+(every clause of one search has the head class(label)).  The same text
+keys each example's coverage memo (Interpretation.coverage_memo), so a body
+is tested against an example once however many classes, covering rounds
+and cross-validation folds reach it.  This is sound because whether a body
+covers an interpretation depends only on the body, order aside, and on the
+example's facts, which never change; not on the class label, the head or
+the fold.  The memo lives and dies with its example: the folds of a
 cross-validation share it because Dataset.restrict keeps the same
 Interpretation objects.
 """
@@ -18,12 +20,12 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .data import Interpretation
 from .dlab import DlabTemplate, Selection, clause_of, refine, start_selection
 from .errors import UsageError
-from .logic import Clause, body_key, covers, theory_covers
+from .logic import Clause, covers, theory_covers
 
 
 def accuracy(tp: int, tn: int, fp: int, fn: int) -> float:
@@ -56,8 +58,6 @@ def score_clause(c: Clause, pos: Sequence[Interpretation],
 class LearnerParams:
     beam_width: int = 10
     max_clauses_per_class: int = 8
-    min_positive_coverage: int = 1
-    max_false_positives: int = 0  # stop rule is exact by default
 
     def __post_init__(self):
         if self.beam_width < 1:
@@ -143,16 +143,16 @@ def _beam_search(label: str, bias: DlabTemplate,
                  remaining: list[int],
                  neg: Sequence[Interpretation],
                  params: LearnerParams,
-                 stats: SearchStats,
-                 node_hook: Callable[[int], None] | None) -> _Candidate | None:
-    """One covering round: search for a clause with fp <= max_false_positives
-    and tp >= min_positive_coverage among the remaining positives."""
+                 stats: SearchStats) -> _Candidate | None:
+    """One covering round: search for a clause with fp = 0 and tp >= 1
+    among the remaining positives."""
     n_pos, n_neg = len(remaining), len(neg)
     all_neg = tuple(range(n_neg))
     start = start_selection(bias)
     root = _Candidate(sels=(start,), clause=clause_of(bias, start, label),
                       canon="", pos_cover=tuple(remaining), neg_cover=all_neg,
                       acc=0.0)
+    head = root.clause.head
     beam = [root]
     expanded: set[Selection] = set()
 
@@ -165,50 +165,45 @@ def _beam_search(label: str, bias: DlabTemplate,
                 expanded.add(sel)
                 children = refine(bias, sel)
                 stats.nodes += len(children)
-                if node_hook is not None:
-                    node_hook(len(children))
                 for child in children:
-                    c = clause_of(bias, child, label)
-                    body = ", ".join(body_key(c))
-                    known = grouped.get(body)
+                    text = child.text
+                    known = grouped.get(text)
                     if known is not None:
-                        if child not in known.sels:
-                            known.sels = (*known.sels, child)
+                        if child.sel not in known.sels:
+                            known.sels = (*known.sels, child.sel)
                         continue
+                    c = Clause(head, child.body)
                     if _is_additive(parent.clause, c):
-                        pos_cover = _coverage(c, body, pos, parent.pos_cover)
-                        neg_cover = _coverage(c, body, neg, parent.neg_cover)
+                        pos_cover = _coverage(c, text, pos, parent.pos_cover)
+                        neg_cover = _coverage(c, text, neg, parent.neg_cover)
                     else:
-                        pos_cover = _coverage(c, body, pos, remaining)
-                        neg_cover = _coverage(c, body, neg, all_neg)
+                        pos_cover = _coverage(c, text, pos, remaining)
+                        neg_cover = _coverage(c, text, neg, all_neg)
                     tp, fp = len(pos_cover), len(neg_cover)
                     acc = accuracy(tp, n_neg - fp, fp, n_pos - tp)
-                    grouped[body] = _Candidate((child,), c, body,
+                    grouped[text] = _Candidate((child.sel,), c, text,
                                                pos_cover, neg_cover, acc)
 
         if not grouped:
             return None
         ordered = list(grouped.values())
-        acceptable = [c for c in ordered
-                      if len(c.neg_cover) <= params.max_false_positives
-                      and len(c.pos_cover) >= params.min_positive_coverage]
+        acceptable = [c for c in ordered if not c.neg_cover and c.pos_cover]
         if acceptable:
             # the stop rule fires on the earliest round reaching fp = 0;
             # among that round's candidates prefer coverage, then brevity
             acceptable.sort(key=lambda c: (-c.acc, len(c.clause.body), c.canon))
             return acceptable[0]
-        # a candidate below the coverage floor can never become acceptable:
+        # a candidate covering no positive can never become acceptable:
         # refinement specializes, so tp only shrinks (its nodes still count)
-        ordered = [c for c in ordered
-                   if len(c.pos_cover) >= params.min_positive_coverage]
+        ordered = [c for c in ordered if c.pos_cover]
         ordered.sort(key=lambda c: (-c.acc, c.canon))
         beam = ordered[:params.beam_width]
     return None
 
 
 def learn_class(label: str, examples: Sequence[Interpretation],
-                bias: DlabTemplate, params: LearnerParams = LearnerParams(),
-                node_hook: Callable[[int], None] | None = None) -> ClassResult:
+                bias: DlabTemplate,
+                params: LearnerParams = LearnerParams()) -> ClassResult:
     """Covering loop: accept zero-false-positive clauses until every positive
     is covered, the clause budget is spent, or the space is exhausted."""
     t0 = time.perf_counter()
@@ -223,8 +218,7 @@ def learn_class(label: str, examples: Sequence[Interpretation],
     complete = False
 
     while remaining and len(accepted) < params.max_clauses_per_class:
-        best = _beam_search(label, bias, pos, remaining, neg, params, stats,
-                            node_hook)
+        best = _beam_search(label, bias, pos, remaining, neg, params, stats)
         if best is None:
             break
         accepted.append(best.clause)

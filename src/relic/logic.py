@@ -42,9 +42,6 @@ class Literal:
         """Predicate identity: name and arity together."""
         return (self.pred, len(self.args))
 
-    def is_ground(self) -> bool:
-        return not any(is_variable(a) for a in self.args)
-
     def variables(self) -> list[Term]:
         return [a for a in self.args if is_variable(a)]
 
@@ -359,12 +356,6 @@ class PredicateSchema:
             by_name[d.name] = d
         object.__setattr__(self, "_by_name", by_name)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def __getitem__(self, name: str) -> PredicateDecl:
-        return self._by_name[name]
-
     def get(self, name: str) -> PredicateDecl | None:
         return self._by_name.get(name)
 
@@ -372,13 +363,11 @@ class PredicateSchema:
         d = self._by_name.get(name)
         return d is not None and d.role == "event"
 
-    def event_preds(self, source: str | None = None) -> list[PredicateDecl]:
-        return [d for d in self.decls if d.role == "event"
-                and (source is None or d.source == source)]
+    def event_preds(self) -> list[PredicateDecl]:
+        return [d for d in self.decls if d.role == "event"]
 
-    def relational_preds(self, source: str | None = None) -> list[PredicateDecl]:
-        return [d for d in self.decls if d.role in ("relational", "global")
-                and (source is None or d.source in (source, "shared"))]
+    def relational_preds(self) -> list[PredicateDecl]:
+        return [d for d in self.decls if d.role in ("relational", "global")]
 
     def sources(self) -> list[str]:
         out: dict[str, None] = {}

@@ -117,6 +117,39 @@ def test_missing_report_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot read")
 
 
+def test_synth_unwritable_out_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    rc = main(["synth", "--per-class", "1", "--out", str(blocker)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {blocker / 'ECG.facts'}: ")
+
+
+def test_crossval_unwritable_json_usage_error(fact_dir, bias_dir, tmp_path,
+                                               capsys):
+    rc = main(["crossval", "--folds", "2", "--mode", "mono",
+               "--source", "ECG", "--bias", f"ECG={bias_dir / 'ECG.dlab'}",
+               "--json", str(tmp_path),
+               str(fact_dir / "ECG.facts"), str(fact_dir / "ABP.facts")])
+    assert rc == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"error: cannot write {tmp_path}: Is a directory"
+
+
+def test_learn_biased_unwritable_artifacts_usage_error(fact_dir, bias_dir,
+                                                        tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    rc = main(["learn-biased",
+               "--bias", f"ECG={bias_dir / 'ECG.dlab'}",
+               "--bias", f"ABP={bias_dir / 'ABP.dlab'}",
+               "--artifacts", str(blocker),
+               str(fact_dir / "ECG.facts"), str(fact_dir / "ABP.facts")])
+    assert rc == 2
+    assert f"error: cannot write {blocker}" in capsys.readouterr().err
+
+
 ROW = {"label": "vt", "tracc": 1.0, "acc": 0.5, "comp": "2", "nodes": 3,
        "time_ms": 4.0}
 

@@ -2,6 +2,8 @@ import random
 
 import pytest
 from conftest import random_grammar
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from relic import BiasError, ParseError, UsageError
 from relic.dlab import (DlabTemplate, choice, compile_template,
@@ -139,19 +141,25 @@ class TestRefine:
         t = compile_template(choice(1, 1, choice(
             "len", "len", literal("a"), choice(0, 1, literal("b")))))
         [start] = refine(t, start_selection(t))
-        assert induce_body(t, start) == (lit("a"),)
-        [nxt] = refine(t, start)
-        assert induce_body(t, nxt) == (lit("a"), lit("b"))
+        assert start.body == (lit("a"),)
+        [nxt] = refine(t, start.sel)
+        assert nxt.body == (lit("a"), lit("b"))
+        assert nxt.text == "a, b"
 
     def test_saturated_has_no_successors(self):
         t = compile_template(choice(1, 1, literal("a"), literal("b")))
         [s1, s2] = refine(t, start_selection(t))
-        assert refine(t, s1) == []
+        assert refine(t, s1.sel) == []
 
     def test_root_minimal_on_pick_one(self):
         t = parse_dlab("1-1:[a,b]")
         succ = refine(t, start_selection(t))
-        assert [induce_body(t, s) for s in succ] == [(lit("a"),), (lit("b"),)]
+        assert [s.body for s in succ] == [(lit("a"),), (lit("b"),)]
+
+
+def _text(body) -> str:
+    """A body's text as refine reports it: sorted literal texts joined."""
+    return ", ".join(sorted(map(str, body)))
 
 
 def _reachable_bodies(t: DlabTemplate, cap: int = 20000) -> set:
@@ -165,9 +173,8 @@ def _reachable_bodies(t: DlabTemplate, cap: int = 20000) -> set:
                 continue
             visited.add(s.picks)
             for r in refine(t, s):
-                key = tuple(sorted(map(str, induce_body(t, r))))
-                seen.add(key)
-                nxt.append(r)
+                seen.add(r.text)
+                nxt.append(r.sel)
                 assert len(seen) <= cap
         frontier = nxt
     return seen
@@ -215,15 +222,60 @@ class TestFuzz:
             if count_space(t) > 400:
                 continue
             done += 1
-            want = {tuple(sorted(map(str, b))) for b in enumerate_bodies(t)}
+            want = {_text(b) for b in enumerate_bodies(t)}
             got = _reachable_bodies(t)
-            start_key = tuple(sorted(map(str, induce_body(t, start_selection(t)))))
-            assert got | {start_key} >= want
+            start_text = _text(induce_body(t, start_selection(t)))
+            assert got | {start_text} >= want
             # strictness: refinements never induce their parent's clause
             for sel in enumerate_selections(t)[:40]:
-                base = tuple(sorted(map(str, induce_body(t, sel))))
+                base = _text(induce_body(t, sel))
                 for r in refine(t, sel):
-                    assert tuple(sorted(map(str, induce_body(t, r)))) != base
+                    assert r.text != base
             if done >= 25:
                 break
         assert done >= 10
+
+
+@st.composite
+def small_templates(draw):
+    """A compiled random grammar from conftest.random_grammar spanning at
+    most 400 selections."""
+    spec = random_grammar(random.Random(draw(st.integers(0, 2**32 - 1))))
+    try:
+        t = compile_template(spec)
+    except BiasError:
+        assume(False)
+    assume(count_space(t) <= 400)
+    return t
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None)
+
+
+class TestRefineProperties:
+    """refine's child records and the grammar text on random grammars."""
+
+    @PROPERTY
+    @given(small_templates())
+    def test_children_carry_their_body_and_text(self, t):
+        for sel in [start_selection(t), *enumerate_selections(t)[:40]]:
+            parent_text = _text(induce_body(t, sel))
+            children = refine(t, sel)
+            for child in children:
+                assert child.body == induce_body(t, child.sel)
+                assert child.text == _text(child.body)
+                assert child.text != parent_text
+            # sorted by the tuple of sorted literal texts, then by picks
+            keys = [(tuple(sorted(map(str, c.body))), c.sel.picks)
+                    for c in children]
+            assert keys == sorted(set(keys))
+
+    @PROPERTY
+    @given(small_templates())
+    def test_text_round_trip(self, t):
+        again = parse_dlab(template_text(t))
+        assert template_text(again) == template_text(t)
+        assert count_space(again) == count_space(t)
+        assert refine(again, start_selection(again)) == \
+            refine(t, start_selection(t))

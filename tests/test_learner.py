@@ -2,7 +2,8 @@ import pytest
 
 from relic import UsageError
 from relic.data import Interpretation
-from relic.dlab import choice, compile_template, inline, literal
+from relic.dlab import (choice, compile_template, inline, literal, refine,
+                        start_selection)
 from relic.learner import (LearnerParams, accuracy, learn_class, learn_theory,
                            score_clause, train_accuracy)
 from relic.logic import clause, covers, lit
@@ -96,15 +97,23 @@ class TestLearnClass:
         with pytest.raises(UsageError):
             learn_class("x", examples, TINY_BIAS)
 
-    def test_nodes_equal_refinements_generated(self):
+    def test_nodes_equal_refinements_generated(self, monkeypatch):
+        import relic.learner as learner
+
         examples = ([_beat_example("x", i, ("abnormal", "normal"))
                      for i in range(3)]
                     + [_beat_example("y", 10 + i, ("normal", "normal"))
                        for i in range(3)])
         audited = []
-        result = learn_class("x", examples, TINY_BIAS,
-                             node_hook=lambda n: audited.append(n))
-        assert result.stats.nodes == sum(audited)
+
+        def counted(t, sel):
+            children = refine(t, sel)
+            audited.append(len(children))
+            return children
+
+        monkeypatch.setattr(learner, "refine", counted)
+        result = learn_class("x", examples, TINY_BIAS)
+        assert audited and result.stats.nodes == sum(audited)
 
 
 class TestLearnTheory:
@@ -159,9 +168,6 @@ class TestParams:
 def test_refinement_coverage_monotone():
     """Under additive biases a child's covered positives are a subset of
     its parent's."""
-    from relic.dlab import clause_of, refine, start_selection
-    from relic.logic import covers
-
     examples = ([_beat_example("x", i, ("abnormal", "normal"))
                  for i in range(4)]
                 + [_beat_example("y", 10 + i, ("normal", "normal"))
@@ -171,12 +177,12 @@ def test_refinement_coverage_monotone():
         nxt = []
         for sel, parent_cov in frontier:
             for child in refine(TINY_BIAS, sel):
-                c = clause_of(TINY_BIAS, child, "x")
+                c = clause("x", child.body)
                 cov = frozenset(i for i, e in enumerate(examples)
                                 if covers(c, e.index))
                 if parent_cov is not None:
                     assert cov <= parent_cov
-                nxt.append((child, cov))
+                nxt.append((child.sel, cov))
         frontier = nxt
 
 
