@@ -40,14 +40,23 @@ def _load(path: str, parse):
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _write(path: Path, text: str) -> None:
-    """Write one output file, making its directory; a path that cannot be
-    written is the user's mistake, reported as a usage error."""
+def _write(path: Path, text: str, mode: str = "w") -> None:
+    """Write (or append to) one output file, making its directory; a path
+    that cannot be written is the user's mistake, reported as a usage error."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open(mode) as out:
+            out.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(path: Path) -> None:
+    """Fail fast where _write would fail, leaving no new file behind."""
+    existed = path.exists()
+    _write(path, "", "a")
+    if not existed:
+        path.unlink()
 
 
 def _parse_report(text: str) -> EvaluationReport:
@@ -142,6 +151,9 @@ def cmd_learn_naive(args) -> int:
 
 def cmd_learn_biased(args) -> int:
     dataset = _load_dataset(args.data, args.data_mode)
+    if args.artifacts:
+        for source in dataset.sources():
+            _check_writable(Path(args.artifacts) / f"mono_{source}.rules")
     biases = _load_biases(args.bias)
     constraints = (_load(args.constraints, parse_constraints)
                    if args.constraints else [])
@@ -172,6 +184,8 @@ def cmd_crossval(args) -> int:
     dataset = _load_dataset(args.data, args.data_mode)
     if folds is None:
         folds = len(dataset.situations())
+    if args.json:
+        _check_writable(Path(args.json))
     biases = _load_biases(args.bias) if args.bias else None
     constraints = (_load(args.constraints, parse_constraints)
                    if args.constraints else [])

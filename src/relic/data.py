@@ -408,13 +408,16 @@ def check_consistency(e1: Interpretation, e2: Interpretation) -> bool:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Interpretations grouped by source and situation, plus the schema."""
+    """Interpretations grouped by source and situation, plus the schema;
+    aggregated keeps multisource.aggregate's merges for every restriction."""
 
     interpretations: tuple[Interpretation, ...]
     schema: PredicateSchema
     classes: tuple[str, ...]
     _by_key: dict[tuple[str, int], Interpretation] = field(
         init=False, repr=False, compare=False)
+    aggregated: dict[frozenset[str], dict[int, Interpretation]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         by_key: dict[tuple[str, int], Interpretation] = {}
@@ -443,6 +446,7 @@ class Dataset:
 
     def restrict(self, situations: Iterable[int]) -> "Dataset":
         keep = set(situations)
-        return Dataset(tuple(i for i in self.interpretations
-                             if i.situation in keep),
-                       self.schema, self.classes)
+        out = Dataset(tuple(i for i in self.interpretations
+                            if i.situation in keep), self.schema, self.classes)
+        object.__setattr__(out, "aggregated", self.aggregated)
+        return out

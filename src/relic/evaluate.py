@@ -93,8 +93,10 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
     leave-one-out), with the identical fold plan applied to every source.
 
     Folds run one after another in plan order, then one run on the full
-    dataset; each mode only supplies how a fold learns from its training
-    situations, which examples are held out, and the fold's audit entry.
+    dataset; each mode only supplies which examples are held out, how a
+    fold learns, and the fold's audit entry.  A fold is scored on the
+    held-out examples outside its test set: in biased mode, the very
+    examples its pipeline learned from.
     """
     if mode not in MODES:
         raise UsageError(f"unknown evaluation mode {mode!r}")
@@ -109,13 +111,12 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
         constraints = list(constraints)
         held_out = aggregate(dataset).examples
 
-        def learn(fold: int, test_ids: frozenset[int]):
+        def learn(fold: int, test_ids: frozenset[int], train):
             result = biased_multisource_learn(
-                dataset.restrict([s for s in dataset.situations()
-                                  if s not in test_ids]),
+                dataset.restrict(set(dataset.situations()) - test_ids),
                 biases, constraints, params)
-            return (result.theory, result.aggregated,
-                    [f"fold {fold}: {w}" for w in result.warnings])
+            return result.theory, [f"fold {fold}: {w}"
+                                   for w in result.warnings]
 
         def audit(test_ids: frozenset[int], test: list[Interpretation]):
             entry = {src: frozenset(s for s in test_ids
@@ -148,11 +149,8 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
             audit_key = "AGG"
             report.meta["naive_max_events"] = str(naive_max_events)
 
-        def learn(fold: int, test_ids: frozenset[int]):
-            train = [e for e in held_out if e.situation not in test_ids]
-            theory, warns = _guarded_theory(train, bias, params, classes,
-                                            fold)
-            return theory, train, warns
+        def learn(fold: int, test_ids: frozenset[int], train):
+            return _guarded_theory(train, bias, params, classes, fold)
 
         def audit(test_ids: frozenset[int], test: list[Interpretation]):
             return {audit_key: test_ids}
@@ -163,9 +161,10 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
     per_fold = []
     for fold, test_set in enumerate(plan.test_sets):
         test_ids = frozenset(test_set)
-        theory, scored, warns = learn(fold, test_ids)
+        train = [e for e in held_out if e.situation not in test_ids]
         test = [e for e in held_out if e.situation in test_ids]
-        per_fold.append(_fold_outcome(theory, classes, scored, test))
+        theory, warns = learn(fold, test_ids, train)
+        per_fold.append(_fold_outcome(theory, classes, train, test))
         report.fold_audit.append(audit(test_ids, test))
         report.warnings.extend(warns)
     _fill_rows(report, classes, per_fold, learn_full(), dataset.schema)

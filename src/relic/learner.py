@@ -10,9 +10,10 @@ is tested against an example once however many classes, covering rounds
 and cross-validation folds reach it.  This is sound because whether a body
 covers an interpretation depends only on the body, order aside, and on the
 example's facts, which never change; not on the class label, the head or
-the fold.  The memo lives and dies with its example: the folds of a
-cross-validation share it because Dataset.restrict keeps the same
-Interpretation objects.
+the fold.  The memo lives and dies with its example.  The folds of a
+cross-validation share it because Dataset.restrict keeps the same source
+Interpretations and multisource.aggregate merges a situation once for a
+dataset and all its restrictions.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ manner of constraint-satisfaction theta-subsumption (Maloberti & Sebag,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import UsageError
 
@@ -107,12 +107,11 @@ def apply_substitution(literal: Literal, subst: Mapping[str, Term]) -> Literal:
 class FactIndex:
     """Ground facts indexed by (predicate, arity) for fast matching."""
 
-    __slots__ = ("facts", "_by_key", "_pos_maps")
+    __slots__ = ("_by_key", "_pos_maps")
 
     def __init__(self, facts: Iterable[Literal]):
-        self.facts = frozenset(facts)
         by_key: dict[tuple[str, int], list[tuple[Term, ...]]] = {}
-        for f in self.facts:
+        for f in frozenset(facts):
             by_key.setdefault(f.key, []).append(f.args)
         # sorted so matching order (and thus found substitutions) is stable
         self._by_key = {k: tuple(sorted(v)) for k, v in by_key.items()}
@@ -133,15 +132,6 @@ class FactIndex:
             table = {v: tuple(rows) for v, rows in table.items()}
             self._pos_maps[mkey] = table
         return table.get(value, ())
-
-    def __contains__(self, f: Literal) -> bool:
-        return f in self.facts
-
-    def __len__(self) -> int:
-        return len(self.facts)
-
-    def __iter__(self) -> Iterator[Literal]:
-        return iter(self.facts)
 
 
 def _as_index(facts: Iterable[Literal] | FactIndex) -> FactIndex:

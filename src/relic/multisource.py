@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .data import Dataset, Event, Interpretation, succession_facts
+from .data import Dataset, Interpretation, succession_facts
 from .dlab import (ChoiceSpec, DlabTemplate, LiteralSpec, choice,
                    compile_template, inline, literal)
 from .errors import InternalError, ParseError, UsageError
@@ -38,44 +38,49 @@ class AggregationResult:
 def aggregate(dataset: Dataset) -> AggregationResult:
     """Union per-source facts per situation, recomputing cross-source
     suc/suci on the merged timeline; inconsistent or incomplete situations
-    are dropped and reported."""
+    are dropped and reported.  A situation is merged once per source set
+    into dataset.aggregated, which every restriction of dataset shares."""
     sources = dataset.sources()
     if len(sources) < 2:
         raise UsageError("aggregation needs at least two sources")
 
     out: list[Interpretation] = []
     dropped: list[tuple[int, str]] = []
+    merged_by = dataset.aggregated.setdefault(frozenset(sources), {})
     for k in dataset.situations():
-        views = [dataset.get(s, k) for s in sources]
-        if any(v is None for v in views):
-            dropped.append((k, "incomplete"))
-            continue
-        labels = {v.label for v in views}
-        if len(labels) != 1:
-            dropped.append((k, "inconsistent"))
-            continue
-
-        facts: set[Literal] = set()
-        events: list[Event] = []
-        origin: dict[str, str] = {}
-        for v in views:
-            facts |= v.facts
-            for e in v.raw_events:
-                if e.eid in origin:
-                    raise UsageError(
-                        f"event id {e.eid} appears on two sources in situation {k}")
-                origin[e.eid] = v.source
-                events.append(e)
-        events.sort(key=lambda e: (e.time, e.eid))
-        facts.update(succession_facts(events,
-                                      [origin[e.eid] for e in events]))
-
-        out.append(Interpretation(situation=k, source="AGG",
-                                  label=labels.pop(), facts=frozenset(facts),
-                                  raw_events=tuple(events)))
+        merged = merged_by.get(k) or _merge(dataset, k, sources)
+        if isinstance(merged, str):
+            dropped.append((k, merged))
+        else:
+            out.append(merged_by.setdefault(k, merged))
     if not out:
         raise UsageError("no situation survived aggregation")
     return AggregationResult(out, dropped)
+
+
+def _merge(dataset: Dataset, k: int,
+           sources: Sequence[str]) -> Interpretation | str:
+    """Situation k's views on every source merged into one AGG example, or
+    the reason it is dropped: "incomplete" or "inconsistent"."""
+    views = [dataset.get(s, k) for s in sources]
+    if any(v is None for v in views):
+        return "incomplete"
+    labels = {v.label for v in views}
+    if len(labels) != 1:
+        return "inconsistent"
+    facts: set[Literal] = set()
+    origin: dict[str, str] = {}
+    for v in views:
+        facts |= v.facts
+        for e in v.raw_events:
+            if origin.setdefault(e.eid, v.source) != v.source:
+                raise UsageError(
+                    f"event id {e.eid} appears on two sources in situation {k}")
+    events = sorted((e for v in views for e in v.raw_events),
+                    key=lambda e: (e.time, e.eid))
+    facts.update(succession_facts(events, [origin[e.eid] for e in events]))
+    return Interpretation(situation=k, source="AGG", label=labels.pop(),
+                          facts=frozenset(facts), raw_events=tuple(events))
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .data import Dataset, Event, Interpretation, SymbolizationConfig, saturate
-from .dlab import DlabTemplate, choice, compile_template, inline, literal
+from .dlab import (DlabTemplate, InlineSpec, choice, compile_template, inline,
+                   literal)
 from .errors import UsageError
 from .logic import Clause, Literal, PredicateDecl, PredicateSchema, clause, lit
 
@@ -452,26 +453,12 @@ def _abp_bias(units: int = 4) -> DlabTemplate:
         beat(1)))
 
 
-def _sys_only_bias(units: int = 4) -> DlabTemplate:
-    def beat(i: int):
-        parts = [literal("sys", f"S{i}", _amp_arg()),
-                 literal("suc", f"S{i}", f"S{i-1}"),
-                 choice(0, "len",
-                        literal("suci", f"S{i}", f"S{i-1}"),
-                        literal("ss1", f"S{i-1}", f"S{i}", _cat_arg()))]
-        if i + 1 < units:
-            parts.append(beat(i + 1))
-        return choice(0, 1, choice("len", "len", *parts))
-
-    return compile_template(choice("len", "len",
-                                   literal("sys", "S0", _amp_arg()), beat(1)))
-
-
-def _chain_bias(pred: str, timing: str, var: str, units: int) -> DlabTemplate:
-    """Shape-free event chain with suc mandatory, suci/timing optional."""
+def _chain_bias(pred: str, timing: str, var: str, units: int,
+                *attrs: InlineSpec) -> DlabTemplate:
+    """Event chain with suc mandatory, suci/timing optional, attrs on events."""
 
     def unit(i: int):
-        parts = [literal(pred, f"{var}{i}"),
+        parts = [literal(pred, f"{var}{i}", *attrs),
                  literal("suc", f"{var}{i}", f"{var}{i-1}"),
                  choice(0, "len",
                         literal("suci", f"{var}{i}", f"{var}{i-1}"),
@@ -480,8 +467,8 @@ def _chain_bias(pred: str, timing: str, var: str, units: int) -> DlabTemplate:
             parts.append(unit(i + 1))
         return choice(0, 1, choice("len", "len", *parts))
 
-    return compile_template(choice("len", "len", literal(pred, f"{var}0"),
-                                   unit(1)))
+    return compile_template(choice("len", "len",
+                                   literal(pred, f"{var}0", *attrs), unit(1)))
 
 
 def monosource_biases(mode: str = "full") -> dict[str, DlabTemplate]:
@@ -490,7 +477,7 @@ def monosource_biases(mode: str = "full") -> dict[str, DlabTemplate]:
         return {"ECG": _ecg_bias(), "ABP": _abp_bias()}
     if mode == "reduced":
         return {"ECG": _chain_bias("qrs", "rr1", "R", 5),
-                "ABP": _sys_only_bias()}
+                "ABP": _chain_bias("sys", "ss1", "S", 4, _amp_arg())}
     if mode == "split":
         return {"P": _chain_bias("p", "pp1", "PA", 4),
                 "QRS": _chain_bias("qrs", "rr1", "QB", 5)}

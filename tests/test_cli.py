@@ -128,13 +128,16 @@ def test_synth_unwritable_out_usage_error(tmp_path, capsys):
 
 def test_crossval_unwritable_json_usage_error(fact_dir, bias_dir, tmp_path,
                                                capsys):
+    # checked before any fold runs: no fold warning, no report, no file
     rc = main(["crossval", "--folds", "2", "--mode", "mono",
                "--source", "ECG", "--bias", f"ECG={bias_dir / 'ECG.dlab'}",
                "--json", str(tmp_path),
                str(fact_dir / "ECG.facts"), str(fact_dir / "ABP.facts")])
     assert rc == 2
-    last = capsys.readouterr().err.splitlines()[-1]
-    assert last == f"error: cannot write {tmp_path}: Is a directory"
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_learn_biased_unwritable_artifacts_usage_error(fact_dir, bias_dir,
@@ -147,7 +150,24 @@ def test_learn_biased_unwritable_artifacts_usage_error(fact_dir, bias_dir,
                "--artifacts", str(blocker),
                str(fact_dir / "ECG.facts"), str(fact_dir / "ABP.facts")])
     assert rc == 2
-    assert f"error: cannot write {blocker}" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: cannot write {blocker / 'mono_ECG.rules'}: "
+                   "File exists\n")
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == ""
+
+
+def test_crossval_output_check_leaves_no_file(fact_dir, bias_dir, tmp_path,
+                                              capsys):
+    # the writability check passes, then a usage error stops the run
+    report_json = tmp_path / "out" / "report.json"
+    rc = main(["crossval", "--folds", "1", "--mode", "mono",
+               "--source", "ECG", "--bias", f"ECG={bias_dir / 'ECG.dlab'}",
+               "--json", str(report_json), str(fact_dir / "ECG.facts")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: fold count 1")
+    assert not report_json.exists()
 
 
 ROW = {"label": "vt", "tracc": 1.0, "acc": 0.5, "comp": "2", "nodes": 3,

@@ -2,11 +2,15 @@ from math import comb
 
 import pytest
 from conftest import ECG_BLOCK, ABP_BLOCK
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import brute_covers
 
 from relic import UsageError, parse_model_file
-from relic.data import Dataset, Interpretation
+from relic.data import (Dataset, Event, Interpretation, SymbolizationConfig,
+                        saturate)
 from relic.dlab import count_space, enumerate_bodies, member
-from relic.logic import (body_key, clause, covers, lit,
+from relic.logic import (Literal, body_key, clause, covers, lit,
                          standardize_apart, theta_subsumes)
 from relic.multisource import (InterleavingConstraint, aggregate,
                                bottom_clauses_for_pair, filter_constraints,
@@ -263,6 +267,151 @@ class TestAggregate:
         ds = Dataset((left,), SCHEMA, ("doublet",))
         with pytest.raises(UsageError):
             aggregate(ds)
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+def _view(situation, source, label, events):
+    """An unsaturated view whose facts are its raw event records."""
+    facts = frozenset(Literal(e.pred, (e.eid, str(e.time), *e.attrs))
+                      for e in events)
+    return Interpretation(situation, source, label, facts, tuple(events))
+
+
+@st.composite
+def event_streams(draw, source, prefix):
+    """One to three events of the source's predicates, with attribute
+    values from their domains; times on a coarse grid, so ties occur."""
+    decls = [d for d in SCHEMA.event_preds() if d.source == source]
+    events = []
+    for i in range(draw(st.integers(1, 3))):
+        d = draw(st.sampled_from(decls))
+        attrs = tuple(draw(st.sampled_from(dom)) for dom in d.domains)
+        events.append(Event(f"{prefix}{i}", d.name,
+                            draw(st.integers(0, 6)) * 250, attrs))
+    return events
+
+
+@st.composite
+def views_and_patterns(draw):
+    """Two saturated views of one situation, one of them, and a clause
+    whose body is some of that view's facts with up to three of their
+    event ids turned into variables."""
+    cfg = SymbolizationConfig()
+    views = [saturate(_view(1, s, "x", draw(event_streams(s, s[0].lower()))),
+                      cfg, SCHEMA) for s in ("ECG", "ABP")]
+    view = draw(st.sampled_from(views))
+    facts = draw(st.lists(st.sampled_from(sorted(view.facts, key=str)),
+                          min_size=1, max_size=3, unique=True))
+    ids = draw(st.lists(st.sampled_from([e.eid for e in view.raw_events]),
+                        max_size=3, unique=True))
+    theta = {eid: f"V{i}" for i, eid in enumerate(ids)}
+    body = tuple(Literal(f.pred, tuple(theta.get(a, a) for a in f.args))
+                 for f in facts)
+    return views, view, clause("x", body)
+
+
+class TestCoveragePreservedOnRandomStreams:
+    """Property 1: aggregation keeps every view's facts, so a clause that
+    covers a view covers the aggregated example."""
+
+    @PROPERTY
+    @given(views_and_patterns())
+    def test_view_facts_and_coverage_survive_aggregation(self, case):
+        views, view, c = case
+        [agg] = aggregate(Dataset(tuple(views), SCHEMA, ("x",))).examples
+        for v in views:
+            assert v.facts <= agg.facts
+        for e in (view, agg):
+            assert covers(c, e.index)
+            assert brute_covers(c, e.facts)
+
+
+def _summary(ds):
+    """aggregate(ds) as plain values (or its error), and its examples."""
+    try:
+        result = aggregate(ds)
+    except UsageError as exc:
+        return str(exc), []
+    return ([(e.situation, e.label, e.facts, e.raw_events)
+             for e in result.examples], result.dropped), result.examples
+
+
+@st.composite
+def restriction_chains(draw):
+    """A dataset of 2-3 sources with views missing or mislabelled, in any
+    order, and the situation sets of a chain of restrictions."""
+    sources = draw(st.sampled_from([("ECG", "ABP"), ("ECG", "ABP", "X")]))
+    interps = []
+    for k in range(1, 6):
+        label = draw(st.sampled_from("ab"))
+        for s in sources:
+            kind = draw(st.sampled_from(("view", "view", "missing",
+                                         "mislabelled")))
+            if kind == "missing":
+                continue
+            events = [Event(f"{s}{k}_{i}", "sys", draw(st.integers(0, 3)))
+                      for i in range(draw(st.integers(0, 2)))]
+            interps.append(_view(k, s, label if kind == "view"
+                                 else {"a": "b", "b": "a"}[label], events))
+    ds = Dataset(tuple(draw(st.permutations(interps))), SCHEMA, ("a", "b"))
+    keeps = draw(st.lists(st.sets(st.integers(1, 5)), min_size=1,
+                          max_size=3))
+    return ds, keeps
+
+
+# situation 2 lacks X: dropped by the dataset, merged by its restriction
+# to {2}, which has lost source X
+_LOSES_X = Dataset(tuple(_view(k, s, "a", [Event(f"{s}{k}", "sys", k)])
+                         for k, s in [(1, "ECG"), (1, "ABP"), (1, "X"),
+                                      (2, "ECG"), (2, "ABP")]),
+                   SCHEMA, ("a",))
+
+
+class TestAggregateSharedByRestrictions:
+    @PROPERTY
+    @given(restriction_chains())
+    @example((_LOSES_X, [{2}]))
+    @example((_LOSES_X, [{1, 2}, {2}, {1}]))
+    def test_restrictions_aggregate_as_fresh_datasets(self, case):
+        """Along a chain of restrictions, aggregate gives what it gives on
+        a fresh dataset of the same views, and a later call (after the
+        other datasets of the chain filled the shared store) gives the
+        same result and the identical example objects.  Datasets of the
+        chain with the same sources share each situation's example."""
+        ds, keeps = case
+        chain = [ds]
+        for keep in keeps:
+            chain.append(chain[-1].restrict(keep))
+        first = []
+        shared = {}
+        for d in chain:
+            got, examples = _summary(d)
+            fresh = Dataset(d.interpretations, d.schema, d.classes)
+            assert got == _summary(fresh)[0]
+            first.append((got, examples))
+            for e in examples:
+                key = (e.situation, frozenset(d.sources()))
+                assert shared.setdefault(key, e) is e
+        for d, (got, examples) in zip(chain, first):
+            again, examples_again = _summary(d)
+            assert again == got
+            assert len(examples_again) == len(examples)
+            assert all(a is b for a, b in zip(examples_again, examples))
+
+    def test_duplicate_event_id_raises_on_every_call(self):
+        ds = Dataset((_view(1, "ECG", "a", [Event("e1", "qrs", 5)]),
+                      _view(1, "ABP", "a", [Event("e1", "sys", 9)]),
+                      _view(2, "ECG", "a", []), _view(2, "ABP", "a", [])),
+                     SCHEMA, ("a",))
+        for d in (ds, ds, ds.restrict([1]), ds):
+            with pytest.raises(UsageError, match="event id e1 appears on "
+                               "two sources in situation 1"):
+                aggregate(d)
+        assert [e.situation for e in aggregate(ds.restrict([2])).examples] \
+            == [2]
 
 
 class TestPipelineArtifacts:
