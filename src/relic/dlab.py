@@ -102,8 +102,14 @@ Node = Union[ChoiceNode, InlineNode, TerminalNode]
 class DlabTemplate:
     root: int
     nodes: tuple[Node, ...]
+    # memos that live and die with the template: minimal completions and
+    # space counts per node, refine's sorted children per selection, and
+    # one shared object per literal any induced body holds
     _completions: dict[int, tuple] = field(default_factory=dict, repr=False)
     _counts: dict[int, int] = field(default_factory=dict, repr=False)
+    _children: dict[Selection, tuple[Refinement, ...]] = field(
+        default_factory=dict, repr=False)
+    _literals: dict[Literal, Literal] = field(default_factory=dict, repr=False)
 
     def node(self, nid: int) -> Node:
         return self.nodes[nid]
@@ -214,12 +220,13 @@ class _Parser:
         return tok
 
     def bound(self) -> Bound:
+        line = self.line()
         tok = self.take()
         if tok == "len":
             return "len"
         if tok.isdigit():
             return int(tok)
-        raise ParseError(f"expected bound, found {tok!r}", line=self.line())
+        raise ParseError(f"expected bound, found {tok!r}", line=line)
 
     def at_choice(self) -> bool:
         t = self.peek()
@@ -239,9 +246,10 @@ class _Parser:
                 children.append(self.node())
             self.take("]")
             return ChoiceSpec(low, high, tuple(children))
+        line = self.line()
         name = self.take()
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
-            raise ParseError(f"expected literal, found {name!r}", line=self.line())
+            raise ParseError(f"expected literal, found {name!r}", line=line)
         if self.peek() != "(":
             return LiteralSpec(name, ())
         self.take("(")
@@ -259,15 +267,19 @@ class _Parser:
             high = self.bound()
             self.take(":")
             self.take("[")
-            elems = [self.take()]
+            elems = [self.term()]
             while self.peek() == ",":
                 self.take(",")
-                elems.append(self.take())
+                elems.append(self.term())
             self.take("]")
             return InlineSpec(low, high, tuple(elems))
+        return self.term()
+
+    def term(self) -> Term:
+        line = self.line()
         tok = self.take()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*|\d+", tok):
-            raise ParseError(f"expected term, found {tok!r}", line=self.line())
+        if not _WORD_RE.fullmatch(tok):
+            raise ParseError(f"expected term, found {tok!r}", line=line)
         return tok
 
 
@@ -320,11 +332,14 @@ class Selection:
         return ()
 
     def merged(self, extra: Mapping[int, tuple[int, ...]]) -> "Selection":
-        d = dict(self.picks)
+        """This selection plus extra's picks; entries extra leaves alone
+        keep their (nid, picks) pair objects."""
+        d = {pair[0]: pair for pair in self.picks}
         for k, v in extra.items():
             if v:
-                d[k] = tuple(sorted((*d.get(k, ()), *v)))
-        return Selection(tuple(sorted(d.items())))
+                old = d[k][1] if k in d else ()
+                d[k] = (k, tuple(sorted((*old, *v))))
+        return Selection(tuple(d[k] for k in sorted(d)))
 
 
 def start_selection(t: DlabTemplate) -> Selection:
@@ -332,8 +347,11 @@ def start_selection(t: DlabTemplate) -> Selection:
 
 
 def induce_body(t: DlabTemplate, sel: Selection) -> tuple[Literal, ...]:
-    """The clause body a selection stands for, in tree order."""
+    """The clause body a selection stands for, in tree order.  Its literals
+    are interned on the template, so equal literals of any two bodies are
+    one object."""
     picks = dict(sel.picks)
+    interned = t._literals
     out: list[Literal] = []
 
     def walk(nid: int):
@@ -347,7 +365,8 @@ def induce_body(t: DlabTemplate, sel: Selection) -> tuple[Literal, ...]:
                     ic = t.node(v)
                     for idx in picks.get(v, ()):
                         args.append(ic.elements[idx])
-            out.append(Literal(node.pred, tuple(args)))
+            made = Literal(node.pred, tuple(args))
+            out.append(interned.setdefault(made, made))
         else:
             for idx in picks.get(nid, ()):
                 walk(node.children[idx])
@@ -568,16 +587,20 @@ def _reached_nodes(t: DlabTemplate, sel: Selection) -> list[int]:
 
 class Refinement(NamedTuple):
     """One child of refine: its selection, the body it induces (in tree
-    order) and that body's text, the sorted literal texts joined by ", "."""
+    order), that body's text (the sorted literal texts joined by ", ") and
+    whether it is additive: its literal multiset contains the parent
+    selection's, so it covers no example the parent does not."""
 
     sel: Selection
     body: tuple[Literal, ...]
     text: str
+    additive: bool
 
 
 def refine(t: DlabTemplate, sel: Selection) -> list[Refinement]:
     """All minimal valid selections strictly extending sel whose induced
-    clause strictly grows, each with the body it induces and its text.
+    clause strictly grows, each with the body it induces, its text and
+    whether it only adds literals.
 
     From the empty start selection this yields the min-completions of the
     root (the most general clauses of the space).  Extensions that leave
@@ -585,25 +608,35 @@ def refine(t: DlabTemplate, sel: Selection) -> list[Refinement]:
     are transparently refined further.  Children are sorted by the tuple of
     their sorted literal texts, then by picks, so results are deterministic
     regardless of evaluation order.
+
+    The children of each selection are worked out once and kept on the
+    template (t._children), so they live exactly as long as t; every call
+    returns a new list, and a caller may change it freely.
     """
-    found = _refinements(t, sel)
-    return [found[k] for k in sorted(found)]
+    cached = t._children.get(sel)
+    if cached is None:
+        found = _refinements(t, sel)
+        cached = t._children[sel] = tuple(found[k] for k in sorted(found))
+    return list(cached)
 
 
 def _refinements(t: DlabTemplate, sel: Selection) -> dict[tuple, Refinement]:
     """refine's children keyed by (sorted literal texts, picks)."""
-    base_key = tuple(sorted(str(b) for b in induce_body(t, sel)))
+    base_body = induce_body(t, sel)
+    base_key = tuple(sorted(str(b) for b in base_body))
+    base = Counter(base_body)
     results: dict[tuple, Refinement] = {}
 
     def consider(candidate: Selection):
         body = induce_body(t, candidate)
         key = tuple(sorted(str(b) for b in body))
         if key == base_key:
+            # same multiset as sel, so additive means the same for both
             for k, deeper in _refinements(t, candidate).items():
                 results.setdefault(k, deeper)
         elif (key, candidate.picks) not in results:
-            results[key, candidate.picks] = Refinement(candidate, body,
-                                                       ", ".join(key))
+            results[key, candidate.picks] = Refinement(
+                candidate, body, ", ".join(key), not (base - Counter(body)))
 
     if not is_valid(t, sel):
         if sel.picks:

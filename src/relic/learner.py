@@ -4,7 +4,13 @@ loop; LearnerParams sets only the beam width and the clause budget.
 
 The search identifies a clause by the body text dlab.refine hands it with
 each child's selection and body: the sorted literal texts joined by ", "
-(every clause of one search has the head class(label)).  The same text
+(every clause of one search has the head class(label)).  refine keeps each
+selection's children on the bias template, so the classes, covering rounds
+and pipeline runs that share a template expand a selection once.  A child
+marked additive holds every literal of its parent, so the learner tests it
+only on the examples its parent covers; every selection a candidate pools
+induces the candidate's literal multiset, so the mark holds for the
+candidate whichever of its selections was refined.  The same text
 keys each example's coverage memo (Interpretation.coverage_memo), so a body
 is tested against an example once however many classes, covering rounds
 and cross-validation folds reach it.  This is sound because whether a body
@@ -19,7 +25,6 @@ dataset and all its restrictions.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -132,13 +137,6 @@ def _coverage(c: Clause, body: str, pool: Sequence[Interpretation],
     return tuple(covered)
 
 
-def _is_additive(parent: Clause, child: Clause) -> bool:
-    """True when the child body only adds literals; then its coverage is a
-    subset of the parent's and only the parent's covered examples need a
-    covering test."""
-    return not (Counter(parent.body) - Counter(child.body))
-
-
 def _beam_search(label: str, bias: DlabTemplate,
                  pos: Sequence[Interpretation],
                  remaining: list[int],
@@ -174,7 +172,7 @@ def _beam_search(label: str, bias: DlabTemplate,
                             known.sels = (*known.sels, child.sel)
                         continue
                     c = Clause(head, child.body)
-                    if _is_additive(parent.clause, c):
+                    if child.additive:
                         pos_cover = _coverage(c, text, pos, parent.pos_cover)
                         neg_cover = _coverage(c, text, neg, parent.neg_cover)
                     else:

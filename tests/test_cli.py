@@ -206,6 +206,15 @@ def test_malformed_grammar_usage_error(tmp_path, fact_dir, capsys):
     assert capsys.readouterr().err.startswith(f"error: {bad}: line ")
 
 
+def test_grammar_with_a_bad_inline_element_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.dlab"
+    bad.write_text("1-1:[p(1-1:[a,(\n])]")
+    rc = main(["count-space", "--bias", str(bad)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 1: expected term, found '('\n")
+
+
 def test_binary_grammar_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.dlab"
     bad.write_bytes(b"1-1:[\xff\xfe]")
