@@ -19,6 +19,12 @@ second argument is an integer is an event record (id, timestamp in ms,
 attributes); everything else is kept verbatim.
 Relational predicates (suc, suci, timing, amplitude categories) are derived
 by :func:`saturate`, never trusted from the file.
+
+Event ids restart in every block, so the same statements recur from block
+to block.  One :func:`parse_model_file` call builds each distinct fact,
+and each distinct event, once and hands the same object to every block
+that repeats it.  The table doing so belongs to that call alone: nothing
+is kept between calls.
 """
 
 from __future__ import annotations
@@ -150,10 +156,14 @@ def parse_model_file(text: str) -> list[Interpretation]:
 
     One regular expression scans the text statement by statement and
     accepts every statement it reads; line numbers are only counted for
-    the error raised when a statement is rejected."""
+    the error raised when a statement is rejected.  Equal facts (and
+    events) of this call are one shared object: a table, kept for this
+    call only, maps each accepted statement's text and its blank-free
+    spelling to the fact and event built for it."""
     if "%" in text:
         text = _COMMENT_RE.sub("", text)
     scan = _STMT_RE.match
+    known: dict[str, tuple[Literal, Event | None]] = {}
     out: list[Interpretation] = []
     pos = 0
     while m := scan(text, pos):
@@ -177,22 +187,33 @@ def parse_model_file(text: str) -> list[Interpretation]:
                 _diagnose(text, pos, "facts")
                 raise ParseError("missing end(model).", line=_line(text, opened))
             stmt, pred, argtext = m.groups()
-            if argtext is None:
-                if pred is None:
-                    raise _reject(text, m, "facts")
-                facts.append(Literal(pred))
-                continue
-            if pred == "end" and stmt == "end(model)":
+            if stmt == "end(model)":
                 break
-            if pred == "begin" and stmt == "begin(model)":
+            if stmt == "begin(model)":
                 raise _reject(text, m, "facts")
-            args = argtext.split(",")
-            if " " in argtext or not argtext.isprintable():
-                args = map(str.strip, args)  # whitespace around commas
-            args = tuple(args)
-            facts.append(Literal(pred, args))
-            if _is_event(args):
-                events.append(Event(args[0], pred, int(args[1]), args[2:]))
+            built = known.get(stmt)
+            if built is None:
+                if argtext is None:
+                    if pred is None:
+                        raise _reject(text, m, "facts")
+                    built = (Literal(pred), None)
+                else:
+                    args = argtext.split(",")
+                    if " " in argtext or not argtext.isprintable():
+                        args = map(str.strip, args)  # whitespace around commas
+                    args = tuple(args)
+                    # the same fact spelt with other blanks shares too
+                    canon = f"{pred}({','.join(args)})"
+                    built = known.get(canon) or (
+                        Literal(pred, args),
+                        Event(args[0], pred, int(args[1]), args[2:])
+                        if _is_event(args) else None)
+                    known[canon] = built
+                known[stmt] = built
+            fact, event = built
+            facts.append(fact)
+            if event is not None:
+                events.append(event)
         out.append(Interpretation(
             situation=int(ident[2]), source=ident[3], label=ident[1],
             facts=frozenset(facts), raw_events=tuple(events)))

@@ -39,7 +39,9 @@ def aggregate(dataset: Dataset) -> AggregationResult:
     """Union per-source facts per situation, recomputing cross-source
     suc/suci on the merged timeline; inconsistent or incomplete situations
     are dropped and reported.  A situation is merged once per source set
-    into dataset.aggregated, which every restriction of dataset shares."""
+    into dataset.aggregated, which every restriction of dataset shares.
+    Within one call, a cross-source suc/suci fact equal to one an earlier
+    situation produced is that same object; the table is not kept."""
     sources = dataset.sources()
     if len(sources) < 2:
         raise UsageError("aggregation needs at least two sources")
@@ -47,8 +49,9 @@ def aggregate(dataset: Dataset) -> AggregationResult:
     out: list[Interpretation] = []
     dropped: list[tuple[int, str]] = []
     merged_by = dataset.aggregated.setdefault(frozenset(sources), {})
+    known: dict[Literal, Literal] = {}
     for k in dataset.situations():
-        merged = merged_by.get(k) or _merge(dataset, k, sources)
+        merged = merged_by.get(k) or _merge(dataset, k, sources, known)
         if isinstance(merged, str):
             dropped.append((k, merged))
         else:
@@ -58,10 +61,11 @@ def aggregate(dataset: Dataset) -> AggregationResult:
     return AggregationResult(out, dropped)
 
 
-def _merge(dataset: Dataset, k: int,
-           sources: Sequence[str]) -> Interpretation | str:
+def _merge(dataset: Dataset, k: int, sources: Sequence[str],
+           known: dict[Literal, Literal]) -> Interpretation | str:
     """Situation k's views on every source merged into one AGG example, or
-    the reason it is dropped: "incomplete" or "inconsistent"."""
+    the reason it is dropped: "incomplete" or "inconsistent".  A cross-source
+    suc/suci fact already in known is reused from there."""
     views = [dataset.get(s, k) for s in sources]
     if any(v is None for v in views):
         return "incomplete"
@@ -78,7 +82,8 @@ def _merge(dataset: Dataset, k: int,
                     f"event id {e.eid} appears on two sources in situation {k}")
     events = sorted((e for v in views for e in v.raw_events),
                     key=lambda e: (e.time, e.eid))
-    facts.update(succession_facts(events, [origin[e.eid] for e in events]))
+    facts.update(known.setdefault(f, f) for f in
+                 succession_facts(events, [origin[e.eid] for e in events]))
     return Interpretation(situation=k, source="AGG", label=labels.pop(),
                           facts=frozenset(facts), raw_events=tuple(events))
 
@@ -420,6 +425,16 @@ def biased_multisource_learn(dataset: Dataset,
         if s not in biases:
             raise UsageError(f"no bias supplied for source {s}")
     constraints = list(constraints)
+    for con in constraints:
+        text = f"forbid_between {con.source} {con.before} {con.after}"
+        if con.source not in sources:
+            raise UsageError(f"constraint {text!r}: unknown source "
+                             f"{con.source!r} (sources: {', '.join(sources)})")
+        for pred in (con.before, con.after):
+            decl = dataset.schema.get(pred)
+            if decl is None or decl.role != "event" or decl.source != con.source:
+                raise UsageError(f"constraint {text!r}: {pred!r} is not an "
+                                 f"event predicate of source {con.source}")
     warnings: list[str] = []
 
     mono: dict[str, Theory] = {}

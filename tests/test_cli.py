@@ -64,6 +64,24 @@ def test_learn_biased_with_artifacts(fact_dir, bias_dir, tmp_path, capsys):
     assert "class(" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [
+    ["learn-biased"], ["crossval", "--mode", "biased", "--folds", "2"]])
+def test_misspelt_constraint_usage_error(fact_dir, bias_dir, tmp_path, capsys,
+                                         command):
+    constraints = tmp_path / "constraints.txt"
+    constraints.write_text("forbid_between abp dias sys\n")
+    rc = main(command + [
+        "--bias", f"ECG={bias_dir / 'ECG.dlab'}",
+        "--bias", f"ABP={bias_dir / 'ABP.dlab'}",
+        "--constraints", str(constraints),
+        str(fact_dir / "ECG.facts"), str(fact_dir / "ABP.facts")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: constraint 'forbid_between abp dias sys': unknown "
+                   "source 'abp' (sources: ECG, ABP)\n")
+
+
 def test_crossval_and_report_round_trip(fact_dir, bias_dir, tmp_path, capsys):
     report_json = tmp_path / "report.json"
     rc = main(["crossval", "--folds", "2", "--mode", "mono",

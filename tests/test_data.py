@@ -81,6 +81,26 @@ class TestParse:
         with pytest.raises(ParseError, match=r"^line 3: malformed fact 'fo\\no'"):
             parse_model_file(text)
 
+    def test_blocks_share_facts_and_events(self):
+        # event ids restart in every block, so blocks repeat statements
+        text = ("begin(model).\nsr_1_ECG.\nqrs(r1,100,normal).\nsuc(r2,r1).\n"
+                "end(model).\nbegin(model).\nsr_2_ECG.\nqrs(r1,100,normal).\n"
+                "suc( r2 ,\n r1).\nend(model).\n")
+        a, b = parse_model_file(text)
+        [qa] = [f for f in a.facts if f.pred == "qrs"]
+        [qb] = [f for f in b.facts if f.pred == "qrs"]
+        assert qa is qb
+        assert a.raw_events[0] is b.raw_events[0]
+        [sa] = [f for f in a.facts if f.pred == "suc"]
+        [sb] = [f for f in b.facts if f.pred == "suc"]
+        assert sa == sb == lit("suc", "r2", "r1")
+        assert sa is sb
+
+    def test_repeated_event_in_one_block_still_rejected(self):
+        text = "begin(model).\nsr_1_ECG.\nqrs(r1,5).\nqrs(r1,5).\nend(model)."
+        with pytest.raises(UsageError, match="duplicate event ids"):
+            parse_model_file(text)
+
     def test_newline_separates_arguments(self):
         text = "begin(model).\nsr_1_ECG.\np(a,\n b).\nq(r1, % c\n 5).\nend(model)."
         i = parse_model_file(text)[0]
@@ -229,9 +249,17 @@ class TestParseProperties:
     @example("begin(model).\nsr_1_E.\nfo\no.\nend(model).")
     @example("begin(model). .. sr_1_E.\n  q(r1 , 5 ) . end(model). .")
     @example("begin(model).\nsr_1_E.\nq(r1,5).\np(r1,6).\nend(model).\n")
+    @example("begin(model).\nsr_1_E.\nq(r1,5).\nq(r1,5).\nend(model).\n")
+    @example("begin(model).\nsr_1_E.\nend( model).\nend(model).\n"
+             "begin(model).\nsr_2_E.\nq(a).\nq( a ).\nend(model).\n")
     def test_parse_matches_reference(self, text):
-        assert _outcome(parse_model_file, text) == _outcome(
-            brute_parse_model_file, text)
+        got = _outcome(parse_model_file, text)
+        assert got == _outcome(brute_parse_model_file, text)
+        if isinstance(got, list):  # one object per distinct fact and event
+            shared = {}
+            for i in got:
+                for x in (*i.facts, *i.raw_events):
+                    assert shared.setdefault(x, x) is x
 
     @PROPERTY
     @given(interpretation_lists())

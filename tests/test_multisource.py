@@ -6,18 +6,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import brute_covers
 
-from relic import UsageError, parse_model_file
+from relic import ParseError, UsageError, parse_model_file
 from relic.data import (Dataset, Event, Interpretation, SymbolizationConfig,
                         saturate)
 from relic.dlab import count_space, enumerate_bodies, member
 from relic.logic import (Literal, body_key, clause, covers, lit,
                          standardize_apart, theta_subsumes)
 from relic.multisource import (InterleavingConstraint, aggregate,
+                               biased_multisource_learn,
                                bottom_clauses_for_pair, filter_constraints,
                                interleavings, make_bottom_clause, naive_bias,
                                ordered_events, parse_constraints,
                                synthesize_bias)
-from relic.synth import cardiac_schema
+from relic.synth import cardiac_schema, monosource_biases
 
 SCHEMA = cardiac_schema("full")
 
@@ -103,6 +104,27 @@ class TestConstraints:
         assert parse_constraints(text) == [DIAS_SYS]
         with pytest.raises(Exception):
             parse_constraints("forbid ABP dias\n")
+
+
+    @pytest.mark.parametrize("con, wrong", [
+        (InterleavingConstraint("abp", "dias", "sys"),
+         "unknown source 'abp' (sources: ECG, ABP)"),
+        (InterleavingConstraint("ABP", "diastole", "sys"),
+         "'diastole' is not an event predicate of source ABP"),
+        (InterleavingConstraint("ABP", "dias", "qrs"),
+         "'qrs' is not an event predicate of source ABP"),
+        (InterleavingConstraint("ABP", "ss1", "sys"),
+         "'ss1' is not an event predicate of source ABP"),
+    ], ids=["source", "unknown-pred", "other-source-pred", "relational-pred"])
+    def test_pipeline_rejects_unknown_source_or_event(self, reference_dataset,
+                                                      con, wrong):
+        # checked before any learning: a misspelt constraint would
+        # otherwise filter nothing
+        text = f"forbid_between {con.source} {con.before} {con.after}"
+        with pytest.raises(UsageError) as exc:
+            biased_multisource_learn(reference_dataset,
+                                     monosource_biases("full"), [con])
+        assert str(exc.value) == f"constraint {text!r}: {wrong}"
 
 
 class TestBottomClauses:
@@ -268,9 +290,67 @@ class TestAggregate:
         with pytest.raises(UsageError):
             aggregate(ds)
 
+    def test_situations_share_cross_source_facts(self):
+        # event ids restart in every situation, so merges repeat suc/suci
+        def views(k):
+            return (_view(k, "ECG", "a", [Event("r1", "qrs", 5, ("normal",)),
+                                          Event("r2", "qrs", 20, ("normal",))]),
+                    _view(k, "ABP", "a", [Event("s1", "sys", 9, ("normal",))]))
+
+        one, two = aggregate(Dataset(views(1) + views(2), SCHEMA,
+                                     ("a",))).examples
+        cross = {f: f for f in one.facts if f.pred in ("suc", "suci")}
+        assert set(cross) == {lit("suc", "s1", "r1"), lit("suc", "r2", "s1"),
+                              lit("suci", "s1", "r1"), lit("suci", "r2", "s1")}
+        assert all(cross[f] is f for f in two.facts if f in cross)
+        # each situation merged on its own, with nothing to share
+        alone = [aggregate(Dataset(views(k), SCHEMA, ("a",))).examples[0]
+                 for k in (1, 2)]
+        assert [one, two] == alone
+
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
+
+
+TOKENS = st.text("abcXYZ019_", min_size=1, max_size=5)
+BLANKS = st.sampled_from([" ", "  ", "\t", " \t "])
+FILLER = st.sampled_from(["", "  ", "\t", "% note", "  % forbid_between a b c",
+                          "%"])
+
+
+@st.composite
+def constraint_files(draw):
+    """Constraints written one per line among blank and comment lines,
+    with blanks of any width around the tokens; and the same file with a
+    line of the wrong token count inserted, with that line's number."""
+    cons = draw(st.lists(st.builds(InterleavingConstraint, TOKENS, TOKENS,
+                                   TOKENS), max_size=5))
+    lines = []
+    for con in cons:
+        lines += draw(st.lists(FILLER, max_size=2))
+        tokens = ["forbid_between", con.source, con.before, con.after]
+        lines.append(draw(st.sampled_from(["", " ", "\t"]))
+                     + "".join(t + draw(BLANKS) for t in tokens)
+                     + draw(st.sampled_from(["", "% c", "%"])))
+    lines += draw(st.lists(FILLER, max_size=2))
+    at = draw(st.integers(0, len(lines)))
+    k = draw(st.sampled_from([1, 2, 3, 5]))
+    bad = " ".join((["forbid_between"] + draw(st.lists(TOKENS, min_size=4,
+                                                       max_size=4)))[:k])
+    broken = lines[:at] + [bad] + lines[at:]
+    return "\n".join(lines), cons, "\n".join(broken), at + 1
+
+
+class TestConstraintFileProperties:
+    @PROPERTY
+    @given(constraint_files())
+    def test_parse_constraints_round_trip(self, case):
+        text, cons, broken, bad_line = case
+        assert parse_constraints(text) == cons
+        with pytest.raises(ParseError) as exc:
+            parse_constraints(broken)
+        assert exc.value.line == bad_line
 
 
 def _view(situation, source, label, events):
