@@ -16,9 +16,12 @@ file raises ParseError naming the line of the offending statement's first
 non-blank character (the command line prints it and exits 2).  The
 identifier line carries ``<class>_<situation>_<source>``.  A fact whose
 second argument is an integer is an event record (id, timestamp in ms,
-attributes); everything else is kept verbatim.
-Relational predicates (suc, suci, timing, amplitude categories) are derived
-by :func:`saturate`, never trusted from the file.
+attributes); everything else is kept verbatim, derived facts included.
+:func:`write_model_file` writes every fact of an interpretation, so a
+saturated one is written with its derived facts (suc, suci, timing and
+amplitude categories, symbolized events) and read back with them.  The
+event records alone suffice: :func:`saturate` derives the rest, and
+saturating a file that already holds them adds nothing.
 
 Event ids restart in every block, so the same statements recur from block
 to block.  One :func:`parse_model_file` call builds each distinct fact,

@@ -34,20 +34,22 @@ from .logic import Clause, Literal, Term
 Bound = Union[int, str]  # int or "len"
 
 
-@dataclass(frozen=True)
+# Specs are slotted: each bottom clause keeps its block's specs for as long
+# as the pipeline's result lives.
+@dataclass(frozen=True, slots=True)
 class InlineSpec:
     low: Bound
     high: Bound
     elements: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiteralSpec:
     pred: str
     args: tuple[Union[Term, InlineSpec], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChoiceSpec:
     low: Bound
     high: Bound
@@ -105,11 +107,14 @@ class DlabTemplate:
     # memos that live and die with the template: minimal completions and
     # space counts per node, refine's sorted children per selection, and
     # one shared object per literal any induced body holds
-    _completions: dict[int, tuple] = field(default_factory=dict, repr=False)
-    _counts: dict[int, int] = field(default_factory=dict, repr=False)
+    _completions: dict[int, tuple] = field(init=False, default_factory=dict,
+                                           repr=False)
+    _counts: dict[int, int] = field(init=False, default_factory=dict,
+                                    repr=False)
     _children: dict[Selection, tuple[Refinement, ...]] = field(
-        default_factory=dict, repr=False)
-    _literals: dict[Literal, Literal] = field(default_factory=dict, repr=False)
+        init=False, default_factory=dict, repr=False)
+    _literals: dict[Literal, Literal] = field(init=False, default_factory=dict,
+                                              repr=False)
 
     def node(self, nid: int) -> Node:
         return self.nodes[nid]

@@ -11,6 +11,7 @@ the union of those blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -99,9 +100,7 @@ class MergeItem:
     event: Literal
 
 
-@dataclass(frozen=True)
-class Merge:
-    items: tuple[MergeItem, ...]
+Merge = tuple[MergeItem, ...]
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,6 @@ def interleavings(h1: Clause, h2: Clause, schema: PredicateSchema,
     ev2 = ordered_events(h2, schema)
     n, p = len(ev1), len(ev2)
     merges: list[Merge] = []
-    from itertools import combinations
     for slots in combinations(range(n + p), n):
         slotset = set(slots)
         items: list[MergeItem] = []
@@ -189,19 +187,18 @@ def interleavings(h1: Clause, h2: Clause, schema: PredicateSchema,
                 var, ev = ev2[i2]
                 items.append(MergeItem(sources[1], var, ev))
                 i2 += 1
-        merges.append(Merge(tuple(items)))
+        merges.append(tuple(items))
     if len(merges) != comb(n + p, n):
         raise InternalError("interleaving count mismatch")
     return merges
 
 
 def violates(merge: Merge, con: InterleavingConstraint) -> bool:
-    items = merge.items
-    own = [i for i, it in enumerate(items) if it.source == con.source]
+    own = [i for i, it in enumerate(merge) if it.source == con.source]
     for a, b in zip(own, own[1:]):  # adjacent in the constrained source
-        if (items[a].event.pred == con.before
-                and items[b].event.pred == con.after):
-            if any(items[k].source != con.source for k in range(a + 1, b)):
+        if (merge[a].event.pred == con.before
+                and merge[b].event.pred == con.after):
+            if any(merge[k].source != con.source for k in range(a + 1, b)):
                 return True
     return False
 
@@ -213,35 +210,54 @@ def filter_constraints(merges: Iterable[Merge],
             if not any(violates(m, c) for c in constraints)]
 
 
+def _lit_spec(lit: Literal) -> LiteralSpec:
+    return LiteralSpec(lit.pred, lit.args)  # shares the literal's args
+
+
+def _nested(levels: Sequence[Sequence]) -> list[ChoiceSpec]:
+    """Each level as an optional block that holds all of its parts and
+    the next level's block: [0-1:[len-len:[*parts, 0-1:[...]]]], or []
+    for no levels.  A level opens only inside the one before it."""
+    deeper: list[ChoiceSpec] = []
+    for parts in reversed(levels):
+        deeper = [choice(0, 1, choice("len", "len", *parts, *deeper))]
+    return deeper
+
+
 @dataclass(frozen=True)
 class BottomClause:
-    """A maximally specific multisource clause plus the layout its DLAB
-    block is built from: a mandatory head segment, per-event tail blocks,
-    and the optional (non-connecting) literals attached to each."""
+    """A maximally specific multisource clause, the merge it interleaves,
+    and its DLAB block."""
 
     clause: Clause
     merge: Merge
-    head_mandatory: tuple[Literal, ...]
-    head_options: tuple[Literal, ...]
-    tail: tuple[tuple[tuple[Literal, ...], tuple[Literal, ...]], ...]
+    block: ChoiceSpec
 
 
 def make_bottom_clause(h1: Clause, h2: Clause, merge: Merge,
                        schema: PredicateSchema) -> BottomClause:
     """All literals of both hypotheses plus one new suci literal for every
-    cross-source adjacent pair of the merge."""
-    items = merge.items
-    pos_of = {it.var: i for i, it in enumerate(items)}
+    cross-source adjacent pair of the merge, and one DLAB block spanning
+    every clause equal to or more general than that bottom clause.
+
+    Each event of the merge brings its connectors (the suc/suci literals
+    tying it to the previous event) and its options (the other literals
+    whose latest event it is); literals tied to no event are leftovers.
+    In the block, the first two events and their connectors are mandatory,
+    their options and the leftovers individually optional; every later
+    event is an optional block holding its connectors, its options (each
+    optional) and the next event's block."""
+    pos_of = {it.var: i for i, it in enumerate(merge)}
     body_pool = list(h1.body) + list(h2.body)
 
-    event_lits = {it.var: it.event for it in items}
-    connectors: dict[int, list[Literal]] = {i: [] for i in range(len(items))}
-    options: dict[int, list[Literal]] = {i: [] for i in range(len(items))}
+    events = {it.event for it in merge}
+    connectors: list[list[Literal]] = [[] for _ in merge]
+    options: list[list[Literal]] = [[] for _ in merge]
     leftovers: list[Literal] = []
     used: set[int] = set()
 
-    for i in range(1, len(items)):
-        prev, cur = items[i - 1], items[i]
+    for i in range(1, len(merge)):
+        prev, cur = merge[i - 1], merge[i]
         if prev.source != cur.source:
             connectors[i].append(Literal("suci", (cur.var, prev.var)))
         else:
@@ -255,7 +271,7 @@ def make_bottom_clause(h1: Clause, h2: Clause, merge: Merge,
                     f"no ordering literal between {prev.var} and {cur.var}")
 
     for j, lit in enumerate(body_pool):
-        if j in used or lit in event_lits.values():
+        if j in used or lit in events:
             continue
         if schema.is_event(lit.pred):
             continue  # event literal already placed via the merge
@@ -266,25 +282,23 @@ def make_bottom_clause(h1: Clause, h2: Clause, merge: Merge,
             leftovers.append(lit)
 
     body: list[Literal] = []
-    for i, it in enumerate(items):
-        body.append(it.event)
-        body.extend(connectors[i])
-        body.extend(options[i])
-    body.extend(leftovers)
+    for it, conn, opts in zip(merge, connectors, options):
+        body += [it.event, *conn, *opts]
+    body += leftovers
 
-    head_cut = min(2, len(items))
-    head_mandatory = tuple(
-        [items[i].event for i in range(head_cut)]
-        + [c for i in range(head_cut) for c in connectors[i]])
-    head_options = tuple([o for i in range(head_cut) for o in options[i]]
-                         + leftovers)
-    tail = tuple(
-        ((items[i].event, *connectors[i]), tuple(options[i]))
-        for i in range(head_cut, len(items)))
+    def optional(lits: Iterable[Literal]) -> list[ChoiceSpec]:
+        return [choice(0, 1, _lit_spec(o)) for o in lits]
 
+    cut = min(2, len(merge))
+    head = [_lit_spec(it.event) for it in merge[:cut]]
+    head += [_lit_spec(c) for conn in connectors[:cut] for c in conn]
+    head += optional([o for opts in options[:cut] for o in opts] + leftovers)
+    tail = [[choice("len", "len", *map(_lit_spec, (it.event, *conn))),
+             *optional(opts)]
+            for it, conn, opts in zip(merge[cut:], connectors[cut:],
+                                      options[cut:])]
     return BottomClause(clause=Clause(h1.head, tuple(body)), merge=merge,
-                        head_mandatory=head_mandatory,
-                        head_options=head_options, tail=tail)
+                        block=choice("len", "len", *head, *_nested(tail)))
 
 
 def bottom_clauses_for_pair(h1: Clause, h2: Clause, schema: PredicateSchema,
@@ -301,40 +315,11 @@ def bottom_clauses_for_pair(h1: Clause, h2: Clause, schema: PredicateSchema,
 # bias construction
 # --------------------------------------------------------------------------
 
-def _lit_spec(lit: Literal) -> LiteralSpec:
-    return literal(lit.pred, *lit.args)
-
-
-def _block_for(bt: BottomClause) -> ChoiceSpec:
-    """One DLAB block spanning every clause equal to or more general than
-    the bottom clause: head segment mandatory, every later event nested in
-    a 0-1 block together with its connecting global literal, non-connecting
-    relational literals individually optional."""
-
-    def tail_spec(i: int) -> ChoiceSpec | None:
-        if i >= len(bt.tail):
-            return None
-        mandatory, opts = bt.tail[i]
-        parts: list = [choice("len", "len", *[_lit_spec(l) for l in mandatory])]
-        parts.extend(choice(0, 1, _lit_spec(o)) for o in opts)
-        deeper = tail_spec(i + 1)
-        if deeper is not None:
-            parts.append(deeper)
-        return choice(0, 1, choice("len", "len", *parts))
-
-    parts: list = [_lit_spec(l) for l in bt.head_mandatory]
-    parts.extend(choice(0, 1, _lit_spec(o)) for o in bt.head_options)
-    deeper = tail_spec(0)
-    if deeper is not None:
-        parts.append(deeper)
-    return choice("len", "len", *parts)
-
-
 def synthesize_bias(bottoms: Sequence[BottomClause]) -> DlabTemplate:
     """1-1 choice between the blocks of all bottom clauses."""
     if not bottoms:
         raise UsageError("cannot synthesize a bias from zero bottom clauses")
-    return compile_template(choice(1, 1, *[_block_for(bt) for bt in bottoms]))
+    return compile_template(choice(1, 1, *[bt.block for bt in bottoms]))
 
 
 def naive_bias(schema: PredicateSchema, max_events: int) -> DlabTemplate:
@@ -377,23 +362,12 @@ def naive_bias(schema: PredicateSchema, max_events: int) -> DlabTemplate:
             out.append(literal(d.name, *args))
         return out
 
-    def level(j: int) -> ChoiceSpec | None:
-        if j > max_events:
-            return None
-        parts: list = [slot(j)]
+    levels = []
+    for j in range(2, max_events + 1):
         rels = [o for i in range(1, j) for o in rel_options(i, j)]
-        if rels:
-            parts.append(choice(0, "len", *rels))
-        deeper = level(j + 1)
-        if deeper is not None:
-            parts.append(deeper)
-        return choice(0, 1, choice("len", "len", *parts))
-
-    parts: list = [slot(1)]
-    deeper = level(2)
-    if deeper is not None:
-        parts.append(deeper)
-    return compile_template(choice("len", "len", *parts))
+        levels.append([slot(j), choice(0, "len", *rels)] if rels
+                      else [slot(j)])
+    return compile_template(choice("len", "len", slot(1), *_nested(levels)))
 
 
 # --------------------------------------------------------------------------
@@ -466,25 +440,14 @@ def biased_multisource_learn(dataset: Dataset,
         found: dict[tuple[str, ...], BottomClause] = {}
         for h1 in h1s:
             for h2 in h2s:
-                pair_bottoms = bottom_clauses_for_pair(
-                    h1, h2, dataset.schema, (s1, s2), constraints)
-                if not pair_bottoms:
-                    warnings.append(
-                        f"class {label}: every merge of a pair was filtered "
-                        "out; that pair contributes no bottom clause")
-                for bt in pair_bottoms:
+                for bt in bottom_clauses_for_pair(
+                        h1, h2, dataset.schema, (s1, s2), constraints):
                     found.setdefault(body_key(bt.clause), bt)
-        if not found:
-            warnings.append(f"class {label}: no bottom clauses; skipped")
-            continue
         bottoms[label] = tuple(found.values())
         class_biases[label] = synthesize_bias(bottoms[label])
 
     final = Theory()
-    for label in classes:
-        bias = class_biases.get(label)
-        if bias is None:
-            continue
+    for label, bias in class_biases.items():  # in class order
         final.per_class[label] = learn_class(label, agg.examples, bias, params)
 
     return MultisourceResult(theory=final, mono=mono, aggregated=agg.examples,
@@ -494,7 +457,4 @@ def biased_multisource_learn(dataset: Dataset,
 
 def deepest_bottom_events(bottoms: Iterable[BottomClause]) -> int:
     """Event count of the deepest bottom clause (head segment + tail)."""
-    best = 0
-    for bt in bottoms:
-        best = max(best, len(bt.merge.items))
-    return best
+    return max((len(bt.merge) for bt in bottoms), default=0)

@@ -39,6 +39,8 @@ MODES = ("full", "reduced", "split", "redundant")
 _SHAPES = ("normal", "abnormal")
 _AMPS = ("low", "normal", "high")
 _CATS = ("short", "normal", "long")
+_TIMING_JITTER_MS = 10  # +- on every interval and offset of a recording
+_AMP_JITTER = 4         # +- mmHg on every pressure amplitude
 
 
 def cardiac_schema(mode: str = "full") -> PredicateSchema:
@@ -116,8 +118,6 @@ class GeneratorConfig:
     per_class: int = 10
     cycles: int = 6                 # beat budget per example
     mode: str = "full"
-    timing_jitter_ms: int = 10
-    amp_jitter: int = 4
     symbolization: SymbolizationConfig = field(default_factory=SymbolizationConfig)
 
     def __post_init__(self):
@@ -205,7 +205,7 @@ def _master_events(label: str, situation: int, cfg: GeneratorConfig
                    ) -> tuple[list[Event], list[Event]]:
     """The underlying recording: (ecg_events, abp_events), unjittered order."""
     rng = random.Random(f"{cfg.seed}:{label}:{situation}")
-    jit = cfg.timing_jitter_ms
+    jit = _TIMING_JITTER_MS
 
     def j(base: int) -> int:
         return base + rng.randint(-jit, jit)
@@ -236,8 +236,8 @@ def _master_events(label: str, situation: int, cfg: GeneratorConfig
     for i, t in enumerate(qrs_times):
         d_t = t + 100 + rng.randint(-jit, jit)
         s_t = d_t + 150 + rng.randint(-jit, jit)
-        d_amp = tpl.dias_amp + rng.randint(-cfg.amp_jitter, cfg.amp_jitter)
-        s_amp = tpl.sys_amp[i] + rng.randint(-cfg.amp_jitter, cfg.amp_jitter)
+        d_amp = tpl.dias_amp + rng.randint(-_AMP_JITTER, _AMP_JITTER)
+        s_amp = tpl.sys_amp[i] + rng.randint(-_AMP_JITTER, _AMP_JITTER)
         abp.append(Event(f"d{i}", "dias", d_t, (str(d_amp),)))
         abp.append(Event(f"s{i}", "sys", s_t, (str(s_amp),)))
     return ecg, abp

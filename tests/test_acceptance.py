@@ -130,7 +130,7 @@ def test_interleaving_counts():
                       lit("suc", "S0", "D0")))
     merges = interleavings(h1, h2, schema, ("ECG", "ABP"))
     assert len(merges) == 6
-    kept = {tuple(it.var for it in m.items)
+    kept = {tuple(it.var for it in m)
             for m in filter_constraints(
                 merges, [InterleavingConstraint("ABP", "dias", "sys")])}
     assert ("P0", "D0", "R0", "S0") not in kept   # bt1 removed

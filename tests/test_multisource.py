@@ -9,7 +9,8 @@ from oracles import brute_covers
 from relic import ParseError, UsageError, parse_model_file
 from relic.data import (Dataset, Event, Interpretation, SymbolizationConfig,
                         saturate)
-from relic.dlab import count_space, enumerate_bodies, member
+from relic.dlab import (count_space, enumerate_bodies, member,
+                        template_text)
 from relic.logic import (Literal, body_key, clause, covers, lit,
                          standardize_apart, theta_subsumes)
 from relic.multisource import (InterleavingConstraint, aggregate,
@@ -32,7 +33,7 @@ DIAS_SYS = InterleavingConstraint("ABP", "dias", "sys")
 
 
 def _merge_order(m):
-    return tuple(it.var for it in m.items)
+    return tuple(it.var for it in m)
 
 
 class TestInterleavings:
@@ -71,13 +72,19 @@ class TestInterleavings:
             ordered_events(h, SCHEMA)
 
 
-def _chain(pred, var, n):
+def _event_chain(preds, var):
+    """A hypothesis whose events, named var0, var1, ..., follow one
+    another in the order of preds."""
     body = []
-    for i in range(n):
+    for i, pred in enumerate(preds):
         body.append(lit(pred, f"{var}{i}", "normal"))
         if i:
             body.append(lit("suc", f"{var}{i}", f"{var}{i-1}"))
     return clause("x", body)
+
+
+def _chain(pred, var, n):
+    return _event_chain([pred] * n, var)
 
 
 class TestConstraints:
@@ -205,6 +212,15 @@ class TestSynthesizeBias:
         # constraint 1: never more literals than the bottom clause
         assert all(len(b) <= len(bt.clause.body) for b in bodies)
         assert count_space(bias) == len(bodies)
+        # exactly: the head with or without pr1, then nothing, the
+        # diastole segment, or the diastole segment and the systole one
+        assert bodies == {key(*head, *extra, *tail)
+                          for extra in ((), (pr,))
+                          for tail in ((), d_seg, d_seg + s_seg)}
+        assert template_text(bias) == (
+            "1-1:[5-5:[p(P0,normal), qrs(R0,normal), suc(R0,P0), "
+            "0-1:[pr1(P0,R0,normal)], 0-1:[2-2:[2-2:[dias(D0,normal), "
+            "suci(D0,R0)], 0-1:[1-1:[2-2:[sys(S0,normal), suc(S0,D0)]]]]]]]")
 
     def test_empty_input_rejected(self):
         with pytest.raises(UsageError):
@@ -228,6 +244,20 @@ class TestNaiveBias:
         assert count_space(naive_bias(SCHEMA, 3)) \
             > count_space(naive_bias(SCHEMA, 2)) \
             > count_space(naive_bias(SCHEMA, 1))
+
+    def test_split_depth_three_text(self):
+        # each later event nests inside the one before it, with a 0-len
+        # choice of the relations back to every earlier event
+        bias = naive_bias(cardiac_schema("split"), 3)
+        cat = "1-1:[short,normal,long]"
+        assert template_text(bias) == (
+            "2-2:[1-1:[p(E1), qrs(E1)], 0-1:[3-3:[1-1:[p(E2), qrs(E2)], "
+            f"0-4:[pp1(E1,E2,{cat}), rr1(E1,E2,{cat}), suc(E2,E1), "
+            "suci(E2,E1)], 0-1:[2-2:[1-1:[p(E3), qrs(E3)], "
+            f"0-8:[pp1(E1,E3,{cat}), rr1(E1,E3,{cat}), suc(E3,E1), "
+            f"suci(E3,E1), pp1(E2,E3,{cat}), rr1(E2,E3,{cat}), "
+            "suc(E3,E2), suci(E3,E2)]]]]]]")
+        assert count_space(bias) == 2_097_410
 
 
 class TestAggregate:
@@ -340,6 +370,37 @@ def constraint_files(draw):
                                                        max_size=4)))[:k])
     broken = lines[:at] + [bad] + lines[at:]
     return "\n".join(lines), cons, "\n".join(broken), at + 1
+
+
+EVENT_PREDS = {s: tuple(d.name for d in SCHEMA.event_preds() if d.source == s)
+               for s in ("ECG", "ABP")}
+
+
+@st.composite
+def chains_and_constraints(draw):
+    ecg, abp = (draw(st.lists(st.sampled_from(EVENT_PREDS[s]), max_size=4))
+                for s in ("ECG", "ABP"))
+    source = st.sampled_from(("ECG", "ABP"))
+    cons = draw(st.lists(source.flatmap(lambda s: st.builds(
+        InterleavingConstraint, st.just(s), st.sampled_from(EVENT_PREDS[s]),
+        st.sampled_from(EVENT_PREDS[s]))), max_size=6))
+    return _event_chain(ecg, "A"), _event_chain(abp, "B"), cons
+
+
+class TestInterleavingProperties:
+    @PROPERTY
+    @given(chains_and_constraints())
+    def test_constraints_keep_both_concatenations(self, case):
+        # a forbid_between constraint needs a foreign event between two
+        # adjacent events of its source, and a concatenation has none:
+        # so no pair of hypotheses loses every merge to its constraints
+        h1, h2, cons = case
+        first = tuple(v for v, _ in ordered_events(h1, SCHEMA))
+        second = tuple(v for v, _ in ordered_events(h2, SCHEMA))
+        kept = {_merge_order(m) for m in filter_constraints(
+            interleavings(h1, h2, SCHEMA, ("ECG", "ABP")), cons)}
+        assert first + second in kept
+        assert second + first in kept
 
 
 class TestConstraintFileProperties:
