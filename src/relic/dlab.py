@@ -21,7 +21,7 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, prod
 from typing import Iterator, Mapping, NamedTuple, Union
 
 from .errors import BiasError, ParseError, UsageError
@@ -104,13 +104,11 @@ Node = Union[ChoiceNode, InlineNode, TerminalNode]
 class DlabTemplate:
     root: int
     nodes: tuple[Node, ...]
-    # memos that live and die with the template: minimal completions and
-    # space counts per node, refine's sorted children per selection, and
-    # one shared object per literal any induced body holds
+    # memos that live and die with the template: minimal completions per
+    # node, refine's sorted children per selection, and one shared object
+    # per literal any induced body holds
     _completions: dict[int, tuple] = field(init=False, default_factory=dict,
                                            repr=False)
-    _counts: dict[int, int] = field(init=False, default_factory=dict,
-                                    repr=False)
     _children: dict[Selection, tuple[Refinement, ...]] = field(
         init=False, default_factory=dict, repr=False)
     _literals: dict[Literal, Literal] = field(init=False, default_factory=dict,
@@ -330,12 +328,6 @@ class Selection:
 
     picks: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
-    def get(self, nid: int) -> tuple[int, ...]:
-        for k, v in self.picks:
-            if k == nid:
-                return v
-        return ()
-
     def merged(self, extra: Mapping[int, tuple[int, ...]]) -> "Selection":
         """This selection plus extra's picks; entries extra leaves alone
         keep their (nid, picks) pair objects."""
@@ -384,37 +376,6 @@ def clause_of(t: DlabTemplate, sel: Selection, label: str) -> Clause:
     return Clause(Literal("class", (label,)), induce_body(t, sel))
 
 
-def is_valid(t: DlabTemplate, sel: Selection) -> bool:
-    """Every reached choice holds between min and max children; unreached
-    choices (and inline choices of unreached terminals) hold none."""
-    picks = dict(sel.picks)
-    reached: set[int] = set()
-
-    def walk(nid: int) -> bool:
-        node = t.node(nid)
-        if isinstance(node, TerminalNode):
-            for cid in node.inline_ids:
-                reached.add(cid)
-                ic = t.node(cid)
-                chosen = picks.get(cid, ())
-                if not ic.low <= len(chosen) <= ic.high:
-                    return False
-                if any(i >= len(ic.elements) for i in chosen):
-                    return False
-            return True
-        reached.add(nid)
-        chosen = picks.get(nid, ())
-        if not node.low <= len(chosen) <= node.high:
-            return False
-        if any(i >= len(node.children) for i in chosen):
-            return False
-        return all(walk(node.children[i]) for i in chosen)
-
-    if not walk(t.root):
-        return False
-    return all(k in reached for k, v in picks.items() if v)
-
-
 # --------------------------------------------------------------------------
 # counting and enumeration
 # --------------------------------------------------------------------------
@@ -424,36 +385,27 @@ def count_space(t: DlabTemplate) -> int:
 
     count(terminal) is the product of its inline-choice counts; a choice
     contributes a sum over subset sizes of products of child counts,
-    computed through the generating polynomial of its children.
+    computed through the generating polynomial of its children.  Each call
+    visits every node of the tree once, so nothing is kept between calls.
     """
 
     def count(nid: int) -> int:
-        cached = t._counts.get(nid)
-        if cached is not None:
-            return cached
         node = t.node(nid)
-        if isinstance(node, TerminalNode):
-            total = 1
-            for cid in node.inline_ids:
-                ic = t.node(cid)
-                n = len(ic.elements)
-                total *= sum(comb(n, k) for k in range(ic.low, ic.high + 1))
-        elif isinstance(node, InlineNode):
+        if isinstance(node, InlineNode):
             n = len(node.elements)
-            total = sum(comb(n, k) for k in range(node.low, node.high + 1))
-        else:
-            poly = [1]
-            for c in node.children:
-                cc = count(c)
-                nxt = [0] * (len(poly) + 1)
-                for i, coeff in enumerate(poly):
-                    nxt[i] += coeff
-                    nxt[i + 1] += coeff * cc
-                poly = nxt
-            total = sum(poly[k] for k in range(node.low,
-                                               min(node.high, len(poly) - 1) + 1))
-        t._counts[nid] = total
-        return total
+            return sum(comb(n, k) for k in range(node.low, node.high + 1))
+        if isinstance(node, TerminalNode):
+            return prod(count(cid) for cid in node.inline_ids)
+        poly = [1]
+        for c in node.children:
+            cc = count(c)
+            nxt = [0] * (len(poly) + 1)
+            for i, coeff in enumerate(poly):
+                nxt[i] += coeff
+                nxt[i + 1] += coeff * cc
+            poly = nxt
+        return sum(poly[k] for k in range(node.low,
+                                          min(node.high, len(poly) - 1) + 1))
 
     return count(t.root)
 
@@ -463,19 +415,25 @@ def _subsets(n: int, low: int, high: int) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(range(n), k)
 
 
-def _enum_picks(t: DlabTemplate, nid: int) -> Iterator[dict[int, tuple[int, ...]]]:
+def _enum_picks(t: DlabTemplate, nid: int,
+                minimal: bool = False) -> Iterator[dict[int, tuple[int, ...]]]:
+    """Every valid picks of the subtree at nid; with minimal, only those
+    choosing each reached node's least number (its low) of children."""
     node = t.node(nid)
     if isinstance(node, TerminalNode):
         inline_ids = node.inline_ids
         options = []
         for cid in inline_ids:
             ic = t.node(cid)
-            options.append(list(_subsets(len(ic.elements), ic.low, ic.high)))
+            high = ic.low if minimal else ic.high
+            options.append(list(_subsets(len(ic.elements), ic.low, high)))
         for combo in itertools.product(*options):
             yield {cid: sub for cid, sub in zip(inline_ids, combo) if sub}
         return
-    for subset in _subsets(len(node.children), node.low, node.high):
-        child_iters = [list(_enum_picks(t, node.children[i])) for i in subset]
+    high = node.low if minimal else node.high
+    for subset in _subsets(len(node.children), node.low, high):
+        child_iters = [list(_enum_picks(t, node.children[i], minimal))
+                       for i in subset]
         for combo in itertools.product(*child_iters):
             merged: dict[int, tuple[int, ...]] = {nid: subset} if subset else {}
             for d in combo:
@@ -545,48 +503,44 @@ def member(c: Clause, t: DlabTemplate) -> bool:
 def _min_completions(t: DlabTemplate, nid: int) -> tuple[dict[int, tuple[int, ...]], ...]:
     """All ways to satisfy the subtree at nid with the fewest chosen children."""
     cached = t._completions.get(nid)
-    if cached is not None:
-        return cached
-    node = t.node(nid)
-    out: list[dict[int, tuple[int, ...]]] = []
-    if isinstance(node, TerminalNode):
-        inline_ids = node.inline_ids
-        options = []
-        for cid in inline_ids:
-            ic = t.node(cid)
-            options.append(list(itertools.combinations(range(len(ic.elements)),
-                                                       ic.low)))
-        for combo in itertools.product(*options):
-            out.append({cid: sub for cid, sub in zip(inline_ids, combo) if sub})
-    else:
-        for subset in itertools.combinations(range(len(node.children)), node.low):
-            child_opts = [_min_completions(t, node.children[i]) for i in subset]
-            for combo in itertools.product(*child_opts):
-                merged: dict[int, tuple[int, ...]] = {nid: subset} if subset else {}
-                for d in combo:
-                    for k, v in d.items():
-                        merged[k] = tuple(sorted((*merged.get(k, ()), *v)))
-                out.append(merged)
-    result = tuple(out)
-    t._completions[nid] = result
-    return result
+    if cached is None:
+        cached = t._completions[nid] = tuple(_enum_picks(t, nid, minimal=True))
+    return cached
 
 
-def _reached_nodes(t: DlabTemplate, sel: Selection) -> list[int]:
-    """Choice and inline nodes reachable under the current picks, in tree order."""
+def _reached_nodes(t: DlabTemplate,
+                   sel: Selection) -> list[tuple[Node, tuple[int, ...]]] | None:
+    """Each choice and inline node reachable under sel's picks, in tree
+    order, with its picks; None when sel is invalid: a reached node holds
+    fewer than min or more than max picks, or an index twice or outside
+    its children, or a node that is not reached (an inline choice of an
+    unreached terminal included) holds a pick."""
     picks = dict(sel.picks)
-    out: list[int] = []
+    out: list[tuple[Node, tuple[int, ...]]] = []
 
-    def walk(nid: int):
+    def reach(node: Union[ChoiceNode, InlineNode],
+              size: int) -> tuple[int, ...] | None:
+        chosen = picks.get(node.nid, ())
+        distinct = {i for i in chosen if 0 <= i < size}
+        if len(distinct) != len(chosen) or \
+                not node.low <= len(chosen) <= node.high:
+            return None
+        out.append((node, chosen))
+        return chosen
+
+    def walk(nid: int) -> bool:
         node = t.node(nid)
         if isinstance(node, TerminalNode):
-            out.extend(node.inline_ids)
-            return
-        out.append(nid)
-        for idx in picks.get(nid, ()):
-            walk(node.children[idx])
+            return all(reach(ic, len(ic.elements)) is not None
+                       for ic in map(t.node, node.inline_ids))
+        chosen = reach(node, len(node.children))
+        return chosen is not None and all(walk(node.children[i]) for i in chosen)
 
-    walk(t.root)
+    if not walk(t.root):
+        return None
+    reached = {node.nid for node, _ in out}
+    if any(v and k not in reached for k, v in picks.items()):
+        return None
     return out
 
 
@@ -607,12 +561,13 @@ def refine(t: DlabTemplate, sel: Selection) -> list[Refinement]:
     clause strictly grows, each with the body it induces, its text and
     whether it only adds literals.
 
-    From the empty start selection this yields the min-completions of the
-    root (the most general clauses of the space).  Extensions that leave
-    the clause unchanged (a newly chosen subtree contributing no literal)
-    are transparently refined further.  Children are sorted by the tuple of
-    their sorted literal texts, then by picks, so results are deterministic
-    regardless of evaluation order.
+    From an invalid empty selection (a root that needs picks) this yields
+    the min-completions of the root (the most general clauses of the
+    space); from a valid one it extends each reached node by one child or
+    element.  Extensions that leave the clause unchanged (a newly chosen
+    subtree contributing no literal) are transparently refined further.
+    Children are sorted by the tuple of their sorted literal texts, then by
+    picks, so results are deterministic regardless of evaluation order.
 
     The children of each selection are worked out once and kept on the
     template (t._children), so they live exactly as long as t; every call
@@ -626,13 +581,20 @@ def refine(t: DlabTemplate, sel: Selection) -> list[Refinement]:
 
 
 def _refinements(t: DlabTemplate, sel: Selection) -> dict[tuple, Refinement]:
-    """refine's children keyed by (sorted literal texts, picks)."""
-    base_body = induce_body(t, sel)
-    base_key = tuple(sorted(str(b) for b in base_body))
-    base = Counter(base_body)
+    """refine's children keyed by (sorted literal texts, picks), found by
+    one walk of sel's reached nodes."""
+    reached = _reached_nodes(t, sel)
+    if reached is None and sel.picks:
+        raise UsageError("refine requires a valid or empty start selection")
+    base_key = tuple(sorted(str(b) for b in induce_body(t, sel)))
     results: dict[tuple, Refinement] = {}
 
-    def consider(candidate: Selection):
+    def consider(candidate: Selection, additive: bool):
+        # additive follows from the kind of extension: a choice child (or a
+        # completion of a choice root) adds the literals of a subtree no
+        # pick reached before and keeps every literal sel induces, while an
+        # inline element (or a completion of a terminal root) rewrites one
+        # of sel's literals to a greater arity, so sel's literal is lost
         body = induce_body(t, candidate)
         key = tuple(sorted(str(b) for b in body))
         if key == base_key:
@@ -641,29 +603,24 @@ def _refinements(t: DlabTemplate, sel: Selection) -> dict[tuple, Refinement]:
                 results.setdefault(k, deeper)
         elif (key, candidate.picks) not in results:
             results[key, candidate.picks] = Refinement(
-                candidate, body, ", ".join(key), not (base - Counter(body)))
+                candidate, body, ", ".join(key), additive)
 
-    if not is_valid(t, sel):
-        if sel.picks:
-            raise UsageError("refine requires a valid or empty start selection")
+    if reached is None:
+        adds = not isinstance(t.node(t.root), TerminalNode)
         for completion in _min_completions(t, t.root):
-            consider(Selection(()).merged(completion))
-    else:
-        for nid in _reached_nodes(t, sel):
-            node = t.node(nid)
-            chosen = set(sel.get(nid))
-            high = node.high
-            if len(chosen) >= high:
-                continue
-            if isinstance(node, InlineNode):
-                for idx in range(len(node.elements)):
-                    if idx not in chosen:
-                        consider(sel.merged({nid: (idx,)}))
-            else:
-                for idx in range(len(node.children)):
-                    if idx in chosen:
-                        continue
-                    for completion in _min_completions(t, node.children[idx]):
-                        consider(sel.merged({nid: (idx,)}).merged(completion))
-
+            consider(sel.merged(completion), adds)
+        return results
+    for node, chosen in reached:
+        if len(chosen) >= node.high:
+            continue
+        if isinstance(node, InlineNode):
+            for idx in range(len(node.elements)):
+                if idx not in chosen:
+                    consider(sel.merged({node.nid: (idx,)}), False)
+        else:
+            for idx in range(len(node.children)):
+                if idx in chosen:
+                    continue
+                for completion in _min_completions(t, node.children[idx]):
+                    consider(sel.merged({node.nid: (idx,), **completion}), True)
     return results

@@ -365,15 +365,3 @@ class PredicateSchema:
             if d.source != "shared":
                 out.setdefault(d.source)
         return list(out)
-
-
-def event_variables(c: Clause, schema: PredicateSchema) -> list[Term]:
-    """Variables naming events in c, in first-occurrence order.
-
-    An event variable is the first argument of an event-predicate literal.
-    """
-    out: dict[Term, None] = {}
-    for b in c.body:
-        if schema.is_event(b.pred) and b.args and is_variable(b.args[0]):
-            out.setdefault(b.args[0])
-    return list(out)

@@ -21,7 +21,7 @@ from .dlab import (ChoiceSpec, DlabTemplate, LiteralSpec, choice,
 from .errors import InternalError, ParseError, UsageError
 from .learner import LearnerParams, Theory, learn_class, learn_theory
 from .logic import (Clause, Literal, PredicateSchema, Term, body_key,
-                    event_variables, is_variable, standardize_apart)
+                    is_variable, standardize_apart)
 
 GLOBAL_RELATIONS = ("suc", "suci")
 
@@ -127,13 +127,14 @@ def parse_constraints(text: str) -> list[InterleavingConstraint]:
 
 
 def ordered_events(h: Clause, schema: PredicateSchema) -> list[tuple[Term, Literal]]:
-    """Event variables of h sorted by the total order its suc/suci chain
-    induces; raises if the chain does not order every pair."""
-    ev_vars = event_variables(h, schema)
+    """Event variables of h (first arguments of its event literals), each
+    with its first event literal, sorted by the total order h's suc/suci
+    chain induces; raises if the chain does not order every pair."""
     ev_lit: dict[Term, Literal] = {}
     for b in h.body:
         if schema.is_event(b.pred) and b.args and is_variable(b.args[0]):
             ev_lit.setdefault(b.args[0], b)
+    ev_vars = list(ev_lit)
     if len(ev_vars) <= 1:
         return [(v, ev_lit[v]) for v in ev_vars]
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relic import BiasError, ParseError, UsageError
-from relic.dlab import (DlabTemplate, choice, compile_template,
+from relic.dlab import (DlabTemplate, Selection, choice, compile_template,
                         count_space, enumerate_bodies, enumerate_selections,
                         induce_body, literal, member, parse_dlab, refine,
                         start_selection, template_text)
@@ -174,6 +174,51 @@ class TestRefine:
         t = parse_dlab("1-1:[a,b]")
         succ = refine(t, start_selection(t))
         assert [s.body for s in succ] == [(lit("a"),), (lit("b"),)]
+
+    # node ids in preorder: 0 root, 1 p, 2 p's inline choice, 3 the
+    # optional block, 4 q, 5 q's inline choice, 6 the block's 1-1 choice,
+    # 7 u, 8 v, 9 the 1-2 choice, 10 r, 11 s, 12 t
+    PICKY = "len-len:[p(1-1:[a,b]), 0-1:[q(X,1-2:[c,d,e]), 1-1:[u,v]], " \
+            "1-2:[r,s,t]]"
+    VALID = {0: (0, 1, 2), 2: (0,), 9: (0,)}
+
+    @pytest.mark.parametrize("change", [
+        {9: ()},                  # too few picks on a reached choice
+        {0: (0, 1)},              # too few on the root
+        {9: (0, 1, 2)},           # too many on a reached choice
+        {2: (0, 1)},              # too many on a reached inline choice
+        {9: (3,)},                # child index out of range
+        {9: (-1,)},
+        {2: (2,)},                # element index out of range
+        {9: (0, 0)},              # a child chosen twice
+        {6: (0,)},                # pick on a choice under the unchosen block
+        {5: (0,)},                # inline pick under an unreached terminal
+    ])
+    def test_invalid_selection_refused(self, change):
+        t = parse_dlab(self.PICKY)
+        assert refine(t, Selection(tuple(sorted(self.VALID.items()))))
+        picks = {**self.VALID, **change}
+        sel = Selection(tuple(sorted((k, v) for k, v in picks.items() if v)))
+        with pytest.raises(UsageError, match="refine requires a valid or "
+                           "empty start selection"):
+            refine(t, sel)
+
+    def test_empty_selection_yields_root_completions(self):
+        t = parse_dlab(self.PICKY)
+        got = refine(t, Selection(()))
+        assert [c.text for c in got] == [f"{p}, {x}" for p in ("p(a)", "p(b)")
+                                         for x in "rst"]
+        assert all(c.additive for c in got)
+
+    def test_terminal_root_children_rewrite_its_literal(self):
+        """The empty start of a terminal root induces the root's literal,
+        which every child rewrites, so no child is additive."""
+        t = parse_dlab("p(X,1-2:[a,b])")
+        first = refine(t, start_selection(t))
+        assert [(c.text, c.additive) for c in first] == [
+            ("p(X,a)", False), ("p(X,b)", False)]
+        assert [(c.text, c.additive) for c in refine(t, first[0].sel)] == [
+            ("p(X,a,b)", False)]
 
 
 def _text(body) -> str:
