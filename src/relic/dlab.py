@@ -22,7 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, prod
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import BiasError, ParseError, UsageError
 from .logic import Clause, Literal, Term
@@ -67,6 +67,17 @@ def literal(pred: str, *args: Union[Term, InlineSpec]) -> LiteralSpec:
 def choice(low: Bound, high: Bound,
            *children: Union[ChoiceSpec, LiteralSpec]) -> ChoiceSpec:
     return ChoiceSpec(low, high, tuple(children))
+
+
+def nested(levels: Sequence[Sequence[Union[ChoiceSpec, LiteralSpec]]]
+           ) -> list[ChoiceSpec]:
+    """Each level as an optional block that holds all of its parts and
+    the next level's block: [0-1:[len-len:[*parts, 0-1:[...]]]], or []
+    for no levels.  A level opens only inside the one before it."""
+    deeper: list[ChoiceSpec] = []
+    for parts in reversed(levels):
+        deeper = [choice(0, 1, choice("len", "len", *parts, *deeper))]
+    return deeper
 
 
 @dataclass(frozen=True)
@@ -118,12 +129,22 @@ class DlabTemplate:
         return self.nodes[nid]
 
 
-def _resolve_bound(b: Bound, n_children: int, what: str) -> int:
-    if b == "len":
-        return n_children
-    if not isinstance(b, int) or b < 0:
-        raise BiasError(f"bad bound {b!r} in {what}")
-    return b
+def _bounds(s: Union[ChoiceSpec, InlineSpec], n: int,
+            pred: str | None = None) -> tuple[int, int]:
+    """s's min and max over its n children or elements: len resolved to
+    n, max capped at n, min > max refused.  pred names the terminal an
+    inline choice sits in, and is None for a choice node."""
+    what = "choice" if pred is None else f"{pred} inline choice"
+    for b in (s.low, s.high):
+        if b != "len" and (not isinstance(b, int) or b < 0):
+            raise BiasError(f"bad bound {b!r} in {what}")
+    low, high = (n if b == "len" else b for b in (s.low, s.high))
+    high = min(high, n)
+    if low > high:
+        name = (f"choice {s.low}-{s.high}" if pred is None
+                else f"inline choice {s.low}-{s.high} in {pred}")
+        raise BiasError(f"{name} has min > max")
+    return low, high
 
 
 def compile_template(spec: Union[ChoiceSpec, LiteralSpec]) -> DlabTemplate:
@@ -138,25 +159,14 @@ def compile_template(spec: Union[ChoiceSpec, LiteralSpec]) -> DlabTemplate:
             for a in s.args:
                 if isinstance(a, InlineSpec):
                     cid = len(nodes)
-                    n = len(a.elements)
-                    low = _resolve_bound(a.low, n, f"{s.pred} inline choice")
-                    high = min(_resolve_bound(a.high, n, f"{s.pred} inline choice"), n)
-                    if low > high:
-                        raise BiasError(
-                            f"inline choice {a.low}-{a.high} in {s.pred} has min > max")
+                    low, high = _bounds(a, len(a.elements), s.pred)
                     nodes.append(InlineNode(cid, low, high, a.elements))
                     items.append(("c", cid))
                 else:
                     items.append(("t", a))
             nodes[nid] = TerminalNode(nid, s.pred, tuple(items))
         else:
-            n = len(s.children)
-            low = _resolve_bound(s.low, n, "choice")
-            high = min(_resolve_bound(s.high, n, "choice"), n)
-            if low > high:
-                raise BiasError(f"choice {s.low}-{s.high} has min > max")
-            if low > n:
-                raise BiasError(f"choice requires {low} of {n} children")
+            low, high = _bounds(s, len(s.children))
             child_ids = tuple(build(c) for c in s.children)
             nodes[nid] = ChoiceNode(nid, low, high, child_ids)
         return nid
@@ -170,33 +180,23 @@ def compile_template(spec: Union[ChoiceSpec, LiteralSpec]) -> DlabTemplate:
 # --------------------------------------------------------------------------
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+")
+# a comment, a blank (group 1), or a token (group 2): a word or one character
+_TOKEN_RE = re.compile(rf"%[^\n]*|(\s+)|({_WORD_RE.pattern}|.)")
+
+# choices nested deeper than this are refused: the parser and every walk
+# of a template recurse once per level
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     toks: list[tuple[str, int]] = []
-    pos = 0
     line = 1
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            pos += 1
-            continue
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "%":
-            while pos < n and text[pos] != "\n":
-                pos += 1
-            continue
-        m = _WORD_RE.match(text, pos)
-        if m:
-            toks.append((m.group(0), line))
-            pos = m.end()
-        else:
-            toks.append((ch, line))
-            pos += 1
+    for m in _TOKEN_RE.finditer(text):
+        blank, tok = m.groups()
+        if blank:
+            line += blank.count("\n")
+        elif tok:
+            toks.append((tok, line))
     return toks
 
 
@@ -204,6 +204,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0  # choices open around the next token
 
     def peek(self, ahead: int = 0) -> str | None:
         j = self.i + ahead
@@ -236,19 +237,34 @@ class _Parser:
         return (t is not None and (t.isdigit() or t == "len")
                 and self.peek(1) == "-")
 
+    def items(self, item) -> tuple:
+        """One or more items separated by commas."""
+        out = [item()]
+        while self.peek() == ",":
+            self.take(",")
+            out.append(item())
+        return tuple(out)
+
+    def choice(self, item) -> tuple[Bound, Bound, tuple]:
+        """MIN-MAX:[item, ...] as (min, max, items)."""
+        low = self.bound()
+        self.take("-")
+        high = self.bound()
+        self.take(":")
+        line = self.line()
+        self.take("[")
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"choices nest deeper than {MAX_NESTING} levels",
+                             line=line)
+        self.depth += 1
+        elems = self.items(item)
+        self.depth -= 1
+        self.take("]")
+        return low, high, elems
+
     def node(self) -> Union[ChoiceSpec, LiteralSpec]:
         if self.at_choice():
-            low = self.bound()
-            self.take("-")
-            high = self.bound()
-            self.take(":")
-            self.take("[")
-            children = [self.node()]
-            while self.peek() == ",":
-                self.take(",")
-                children.append(self.node())
-            self.take("]")
-            return ChoiceSpec(low, high, tuple(children))
+            return ChoiceSpec(*self.choice(self.node))
         line = self.line()
         name = self.take()
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
@@ -256,26 +272,13 @@ class _Parser:
         if self.peek() != "(":
             return LiteralSpec(name, ())
         self.take("(")
-        args: list[Union[Term, InlineSpec]] = [self.argitem()]
-        while self.peek() == ",":
-            self.take(",")
-            args.append(self.argitem())
+        args = self.items(self.argitem)
         self.take(")")
-        return LiteralSpec(name, tuple(args))
+        return LiteralSpec(name, args)
 
     def argitem(self) -> Union[Term, InlineSpec]:
         if self.at_choice():
-            low = self.bound()
-            self.take("-")
-            high = self.bound()
-            self.take(":")
-            self.take("[")
-            elems = [self.term()]
-            while self.peek() == ",":
-                self.take(",")
-                elems.append(self.term())
-            self.take("]")
-            return InlineSpec(low, high, tuple(elems))
+            return InlineSpec(*self.choice(self.term))
         return self.term()
 
     def term(self) -> Term:
@@ -287,7 +290,8 @@ class _Parser:
 
 
 def parse_dlab(text: str) -> DlabTemplate:
-    """Parse grammar text into a compiled template."""
+    """Parse grammar text into a compiled template; choices nested deeper
+    than MAX_NESTING levels are refused."""
     p = _Parser(text)
     spec = p.node()
     if p.i != len(p.toks):
@@ -343,6 +347,21 @@ def start_selection(t: DlabTemplate) -> Selection:
     return Selection(())
 
 
+def _terminal_literal(t: DlabTemplate, node: TerminalNode,
+                      picks: Mapping[int, tuple[int, ...]]) -> Literal:
+    """node's literal with the picked elements of each of its inline
+    choices spliced in, in order."""
+    args: list[Term] = []
+    for kind, v in node.items:
+        if kind == "t":
+            args.append(v)  # type: ignore
+        else:
+            elements = t.node(v).elements  # type: ignore
+            for idx in picks.get(v, ()):
+                args.append(elements[idx])
+    return Literal(node.pred, tuple(args))
+
+
 def induce_body(t: DlabTemplate, sel: Selection) -> tuple[Literal, ...]:
     """The clause body a selection stands for, in tree order.  Its literals
     are interned on the template, so equal literals of any two bodies are
@@ -354,15 +373,7 @@ def induce_body(t: DlabTemplate, sel: Selection) -> tuple[Literal, ...]:
     def walk(nid: int):
         node = t.node(nid)
         if isinstance(node, TerminalNode):
-            args: list[Term] = []
-            for kind, v in node.items:
-                if kind == "t":
-                    args.append(v)  # type: ignore
-                else:
-                    ic = t.node(v)
-                    for idx in picks.get(v, ()):
-                        args.append(ic.elements[idx])
-            made = Literal(node.pred, tuple(args))
+            made = _terminal_literal(t, node, picks)
             out.append(interned.setdefault(made, made))
         else:
             for idx in picks.get(nid, ()):
@@ -457,23 +468,12 @@ def member(c: Clause, t: DlabTemplate) -> bool:
     """True iff some valid selection induces exactly c's body (as a multiset)."""
     target = Counter(c.body)
 
-    def terminal_instances(node: TerminalNode) -> Iterator[Literal]:
-        options = []
-        for kind, v in node.items:
-            if kind == "t":
-                options.append([(v,)])
-            else:
-                ic = t.node(v)
-                options.append([tuple(ic.elements[i] for i in sub)
-                                for sub in _subsets(len(ic.elements), ic.low, ic.high)])
-        for combo in itertools.product(*options):
-            yield Literal(node.pred, tuple(a for part in combo for a in part))
-
     def match(nid: int, avail: Counter) -> Iterator[Counter]:
         node = t.node(nid)
         if isinstance(node, TerminalNode):
             seen: set[Literal] = set()
-            for inst in terminal_instances(node):
+            for picks in _enum_picks(t, nid):
+                inst = _terminal_literal(t, node, picks)
                 if inst in seen:
                     continue
                 seen.add(inst)
@@ -512,17 +512,17 @@ def _reached_nodes(t: DlabTemplate,
                    sel: Selection) -> list[tuple[Node, tuple[int, ...]]] | None:
     """Each choice and inline node reachable under sel's picks, in tree
     order, with its picks; None when sel is invalid: a reached node holds
-    fewer than min or more than max picks, or an index twice or outside
-    its children, or a node that is not reached (an inline choice of an
-    unreached terminal included) holds a pick."""
+    fewer than min or more than max picks, or an index twice, out of
+    order or outside its children, or a node that is not reached (an
+    inline choice of an unreached terminal included) holds a pick."""
     picks = dict(sel.picks)
     out: list[tuple[Node, tuple[int, ...]]] = []
 
     def reach(node: Union[ChoiceNode, InlineNode],
               size: int) -> tuple[int, ...] | None:
         chosen = picks.get(node.nid, ())
-        distinct = {i for i in chosen if 0 <= i < size}
-        if len(distinct) != len(chosen) or \
+        # in range, no index twice, and in increasing order
+        if chosen != tuple(i for i in range(size) if i in chosen) or \
                 not node.low <= len(chosen) <= node.high:
             return None
         out.append((node, chosen))

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .data import Dataset, Interpretation, succession_facts
 from .dlab import (ChoiceSpec, DlabTemplate, LiteralSpec, choice,
-                   compile_template, inline, literal)
+                   compile_template, inline, literal, nested)
 from .errors import InternalError, ParseError, UsageError
 from .learner import LearnerParams, Theory, learn_class, learn_theory
 from .logic import (Clause, Literal, PredicateSchema, Term, body_key,
@@ -215,16 +215,6 @@ def _lit_spec(lit: Literal) -> LiteralSpec:
     return LiteralSpec(lit.pred, lit.args)  # shares the literal's args
 
 
-def _nested(levels: Sequence[Sequence]) -> list[ChoiceSpec]:
-    """Each level as an optional block that holds all of its parts and
-    the next level's block: [0-1:[len-len:[*parts, 0-1:[...]]]], or []
-    for no levels.  A level opens only inside the one before it."""
-    deeper: list[ChoiceSpec] = []
-    for parts in reversed(levels):
-        deeper = [choice(0, 1, choice("len", "len", *parts, *deeper))]
-    return deeper
-
-
 @dataclass(frozen=True)
 class BottomClause:
     """A maximally specific multisource clause, the merge it interleaves,
@@ -299,7 +289,7 @@ def make_bottom_clause(h1: Clause, h2: Clause, merge: Merge,
             for it, conn, opts in zip(merge[cut:], connectors[cut:],
                                       options[cut:])]
     return BottomClause(clause=Clause(h1.head, tuple(body)), merge=merge,
-                        block=choice("len", "len", *head, *_nested(tail)))
+                        block=choice("len", "len", *head, *nested(tail)))
 
 
 def bottom_clauses_for_pair(h1: Clause, h2: Clause, schema: PredicateSchema,
@@ -368,7 +358,7 @@ def naive_bias(schema: PredicateSchema, max_events: int) -> DlabTemplate:
         rels = [o for i in range(1, j) for o in rel_options(i, j)]
         levels.append([slot(j), choice(0, "len", *rels)] if rels
                       else [slot(j)])
-    return compile_template(choice("len", "len", slot(1), *_nested(levels)))
+    return compile_template(choice("len", "len", slot(1), *nested(levels)))
 
 
 # --------------------------------------------------------------------------

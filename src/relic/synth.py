@@ -29,7 +29,7 @@ from typing import Iterable
 
 from .data import Dataset, Event, Interpretation, SymbolizationConfig, saturate
 from .dlab import (DlabTemplate, InlineSpec, choice, compile_template, inline,
-                   literal)
+                   literal, nested)
 from .errors import UsageError
 from .logic import Clause, Literal, PredicateDecl, PredicateSchema, clause, lit
 
@@ -420,27 +420,23 @@ def _ecg_bias(qrs: str = "qrs", p: str | None = "p", rr: str = "rr1",
                 literal("suc", f"{prefix}{i}", f"{p_prefix}{i}"),
                 choice(0, 1, literal(pr, f"{p_prefix}{i}", f"{prefix}{i}",
                                      _cat_arg())))))
-        if i + 1 < units:
-            parts.append(unit(i + 1))
-        return choice(0, 1, choice("len", "len", *parts))
+        return parts
 
-    return compile_template(choice("len", "len", qrs_lit(0), unit(1)))
+    return compile_template(choice(
+        "len", "len", qrs_lit(0), *nested([unit(i) for i in range(1, units)])))
 
 
 def _abp_bias(units: int = 4) -> DlabTemplate:
     def beat(i: int):
-        parts = [literal("dias", f"D{i}", _amp_arg()),
-                 literal("suc", f"D{i}", f"S{i-1}"),
-                 literal("sys", f"S{i}", _amp_arg()),
-                 literal("suc", f"S{i}", f"D{i}"),
-                 choice(0, "len",
-                        literal("ss1", f"S{i-1}", f"S{i}", _cat_arg()),
-                        literal("ds1", f"D{i}", f"S{i}", _cat_arg()),
-                        literal("cycle_abp", f"D{i}", f"VA{i}", f"S{i}", f"VB{i}"),
-                        literal("suci", f"D{i}", f"S{i-1}"))]
-        if i + 1 < units:
-            parts.append(beat(i + 1))
-        return choice(0, 1, choice("len", "len", *parts))
+        return [literal("dias", f"D{i}", _amp_arg()),
+                literal("suc", f"D{i}", f"S{i-1}"),
+                literal("sys", f"S{i}", _amp_arg()),
+                literal("suc", f"S{i}", f"D{i}"),
+                choice(0, "len",
+                       literal("ss1", f"S{i-1}", f"S{i}", _cat_arg()),
+                       literal("ds1", f"D{i}", f"S{i}", _cat_arg()),
+                       literal("cycle_abp", f"D{i}", f"VA{i}", f"S{i}", f"VB{i}"),
+                       literal("suci", f"D{i}", f"S{i-1}"))]
 
     return compile_template(choice(
         "len", "len",
@@ -450,7 +446,7 @@ def _abp_bias(units: int = 4) -> DlabTemplate:
         choice(0, "len",
                literal("ds1", "D0", "S0", _cat_arg()),
                literal("cycle_abp", "D0", "VA0", "S0", "VB0")),
-        beat(1)))
+        *nested([beat(i) for i in range(1, units)])))
 
 
 def _chain_bias(pred: str, timing: str, var: str, units: int,
@@ -458,17 +454,15 @@ def _chain_bias(pred: str, timing: str, var: str, units: int,
     """Event chain with suc mandatory, suci/timing optional, attrs on events."""
 
     def unit(i: int):
-        parts = [literal(pred, f"{var}{i}", *attrs),
-                 literal("suc", f"{var}{i}", f"{var}{i-1}"),
-                 choice(0, "len",
-                        literal("suci", f"{var}{i}", f"{var}{i-1}"),
-                        literal(timing, f"{var}{i-1}", f"{var}{i}", _cat_arg()))]
-        if i + 1 < units:
-            parts.append(unit(i + 1))
-        return choice(0, 1, choice("len", "len", *parts))
+        return [literal(pred, f"{var}{i}", *attrs),
+                literal("suc", f"{var}{i}", f"{var}{i-1}"),
+                choice(0, "len",
+                       literal("suci", f"{var}{i}", f"{var}{i-1}"),
+                       literal(timing, f"{var}{i-1}", f"{var}{i}", _cat_arg()))]
 
-    return compile_template(choice("len", "len",
-                                   literal(pred, f"{var}0", *attrs), unit(1)))
+    first = literal(pred, f"{var}0", *attrs)
+    return compile_template(choice(
+        "len", "len", first, *nested([unit(i) for i in range(1, units)])))
 
 
 def monosource_biases(mode: str = "full") -> dict[str, DlabTemplate]:

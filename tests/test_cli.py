@@ -3,7 +3,7 @@ import json
 import pytest
 
 from relic.cli import main
-from relic.dlab import template_text
+from relic.dlab import MAX_NESTING, template_text
 from relic.synth import monosource_biases
 
 
@@ -239,3 +239,14 @@ def test_binary_grammar_usage_error(tmp_path, capsys):
     rc = main(["count-space", "--bias", str(bad)])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read {bad}")
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+def test_grammar_nested_too_deeply_usage_error(tmp_path, capsys, depth):
+    bad = tmp_path / "deep.dlab"
+    bad.write_text("1-1:[\n" * depth + "a" + "]" * depth)
+    rc = main(["count-space", "--bias", str(bad)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line {MAX_NESTING + 1}: choices nest deeper than "
+        f"{MAX_NESTING} levels\n")

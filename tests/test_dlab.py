@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relic import BiasError, ParseError, UsageError
-from relic.dlab import (DlabTemplate, Selection, choice, compile_template,
-                        count_space, enumerate_bodies, enumerate_selections,
-                        induce_body, literal, member, parse_dlab, refine,
-                        start_selection, template_text)
+from relic.dlab import (MAX_NESTING, DlabTemplate, Selection, choice,
+                        compile_template, count_space, enumerate_bodies,
+                        enumerate_selections, induce_body, literal, member,
+                        parse_dlab, refine, start_selection, template_text)
 from relic.logic import Clause, clause, lit
 
 BEAT_GRAMMAR = """
@@ -82,6 +83,11 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_dlab("1-1:[p(1-1:[a,\n,])]")
         assert str(err.value) == "line 2: expected term, found ','"
+
+    def test_nesting_at_the_limit(self):
+        t = parse_dlab("1-1:[" * MAX_NESTING + "a" + "]" * MAX_NESTING)
+        assert count_space(t) == 1
+        assert [c.text for c in refine(t, start_selection(t))] == ["a"]
 
     def test_text_round_trip(self, beat_grammar):
         again = parse_dlab(template_text(beat_grammar))
@@ -191,6 +197,7 @@ class TestRefine:
         {9: (-1,)},
         {2: (2,)},                # element index out of range
         {9: (0, 0)},              # a child chosen twice
+        {9: (1, 0)},              # picks out of order
         {6: (0,)},                # pick on a choice under the unchosen block
         {5: (0,)},                # inline pick under an unreached terminal
     ])
@@ -346,6 +353,19 @@ class TestRefineProperties:
             got.clear()
             got.append(None)
             assert refine(t, sel) == want[sel]
+
+    @PROPERTY
+    @given(small_templates(), st.data())
+    def test_blanks_and_comments_between_tokens(self, t, data):
+        """The grammar text with any mix of spaces, newlines and comments
+        between its tokens parses to the same grammar."""
+        text = template_text(t)
+        toks = re.findall(r"[A-Za-z_][A-Za-z0-9_]*|\d+|\S", text)
+        seps = data.draw(st.lists(st.sampled_from([" ", "\n", " % note\n"]),
+                                  min_size=len(toks), max_size=len(toks)))
+        again = parse_dlab("".join(s + tok for s, tok in zip(seps, toks)))
+        assert template_text(again) == text
+        assert count_space(again) == count_space(t)
 
     @PROPERTY
     @given(small_templates())

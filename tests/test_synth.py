@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from relic import (CLASSES, GeneratorConfig, UsageError, covers,
                    generate_dataset, generate_example, target_rules,
                    write_model_file)
+from relic.dlab import count_space, template_text
 from relic.synth import cardiac_schema, monosource_biases, rhythm_template
 
 
@@ -93,3 +96,34 @@ def test_biases_exist_per_mode():
         assert sorted(biases) == sorted(ds_sources)
         schema = cardiac_schema(mode)
         assert schema.sources() == ds_sources
+
+
+# count_space and the SHA-256 of template_text of every authored bias; the
+# grammars are built in code, so any change to their text shows here
+AUTHORED = {
+    ("full", "ECG"): (20_249_138, "4ced37e8d43aa350388c52d7e2b60c55"
+                                  "3625a8f4a8bcf564860e7c2889ab10b4"),
+    ("full", "ABP"): (13_783_343_688, "dfd668299093aca2f93e89d37c2bc457"
+                                      "73136f37fee5f26a8a633804e34dab01"),
+    ("reduced", "ECG"): (4_681, "d9c128255aa98a7802ab10bbb8d7c027"
+                                "f09f50e75884fdf23205db1fe6821335"),
+    ("reduced", "ABP"): (43_275, "9bed3b7f5c34d6901c6317572f31f821"
+                                 "010b7d28796993837643508245f61e7a"),
+    ("split", "P"): (585, "f8ea550be7d6363df47fd1ad44cc47c3"
+                         "0bfb855d4647dbef0e6ac406e8807b6e"),
+    ("split", "QRS"): (4_681, "1ef53096488fe7c9d6571728701ba778"
+                              "1e584d60b071b9e4bd962ff0be773ef0"),
+    ("redundant", "ECG"): (20_249_138, "4ced37e8d43aa350388c52d7e2b60c55"
+                                       "3625a8f4a8bcf564860e7c2889ab10b4"),
+    ("redundant", "ECG2"): (20_249_138, "f63993a58a11cefdf462e3ee0dc6aa00"
+                                        "454a471a313fff9e65cb079fdabbf55c"),
+}
+
+
+def test_authored_biases_pinned():
+    got = {}
+    for mode in ("full", "reduced", "split", "redundant"):
+        for source, t in monosource_biases(mode).items():
+            digest = hashlib.sha256(template_text(t).encode()).hexdigest()
+            got[mode, source] = (count_space(t), digest)
+    assert got == AUTHORED
