@@ -302,7 +302,7 @@ def standardize_apart(c1: Clause, c2: Clause) -> tuple[Clause, Clause]:
     return c1, renamed
 
 
-ROLES = ("event", "relational", "global", "attribute")
+ROLES = ("event", "relational", "global")
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,10 +310,10 @@ class PredicateDecl:
     """Declared shape of one predicate within a problem."""
 
     name: str
-    arity: int
     role: str
     source: str = "shared"
-    # value domains for enumerated argument positions (attribute/category args)
+    # value domains, in order, of an event's attributes (after its id and
+    # timestamp) or of a relation's "cat" positions
     domains: tuple[tuple[str, ...], ...] = ()
     # for relational predicates: what each argument position holds
     # ("a"/"b" = earlier/later event id, "cat" = enumerated category,

@@ -16,8 +16,8 @@ from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .data import Dataset, Interpretation, succession_facts
-from .dlab import (ChoiceSpec, DlabTemplate, LiteralSpec, choice,
-                   compile_template, inline, literal, nested)
+from .dlab import (MAX_NESTING, ChoiceSpec, DlabTemplate, LiteralSpec,
+                   choice, compile_template, inline, literal, nested)
 from .errors import InternalError, ParseError, UsageError
 from .learner import LearnerParams, Theory, learn_class, learn_theory
 from .logic import (Clause, Literal, PredicateSchema, Term, body_key,
@@ -317,8 +317,12 @@ def naive_bias(schema: PredicateSchema, max_events: int) -> DlabTemplate:
     """Minimally restrictive grammar: any sequence of up to max_events events
     drawn from every source, every attribute value, and every relational
     predicate between every event pair."""
-    if max_events < 1:
-        raise UsageError("max_events must be >= 1")
+    # each event after the first opens two choices inside the one before
+    # it; the outer block and, in the deepest level, a slot or relation
+    # choice with an inline value take three more: 2 * max_events + 1
+    limit = (MAX_NESTING - 1) // 2
+    if not 1 <= max_events <= limit:
+        raise UsageError(f"max_events must be between 1 and {limit}")
     events = sorted(schema.event_preds(), key=lambda d: d.name)
     if not events:
         raise UsageError("schema declares no event predicates")

@@ -9,6 +9,7 @@ that every class carries a separating rule in the published bias spaces:
   ves      isolated premature ventricular beat: short coupling, long pause
   bige     ventricular bigeminy: every other beat ectopic, no long pause
   doublet  a pair of adjacent ectopics closed by a long pause
+           (ves, bige and doublet each repeat one beat motif)
   vt       a run of ectopics at short rr, no p waves
   svt      conducted tachycardia: short pp and rr (some examples end in a
            deterministic pause, which keeps single-source views partial)
@@ -17,14 +18,15 @@ that every class carries a separating rule in the published bias spaces:
 
 Modes: "full" (ECG + ABP), "reduced" (qrs without shape + sys only),
 "split" (P-wave-only vs QRS-only virtual sources, shapes stripped) and
-"redundant" (the ECG duplicated under renamed predicates).  Output is fully
+"redundant" (the ECG plus a copy, source ECG2, whose predicates, event ids
+and bias variables are renamed: qrs becomes qrs_b).  Output is fully
 determined by the seed; timestamps use integer arithmetic only.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from .data import Dataset, Event, Interpretation, SymbolizationConfig, saturate
@@ -43,73 +45,66 @@ _TIMING_JITTER_MS = 10  # +- on every interval and offset of a recording
 _AMP_JITTER = 4         # +- mmHg on every pressure amplitude
 
 
+# the ECG's declarations, shared by the full and the redundant mode
+_ECG = (
+    PredicateDecl("p", "event", "ECG", (_SHAPES,)),
+    PredicateDecl("qrs", "event", "ECG", (_SHAPES,)),
+    PredicateDecl("rr1", "relational", "ECG", (_CATS,), ("a", "b", "cat"),
+                  derive=("consecutive", "qrs")),
+    PredicateDecl("pr1", "relational", "ECG", (_CATS,), ("a", "b", "cat"),
+                  derive=("next", "p", "qrs"), scale="wave"),
+    PredicateDecl("pp1", "relational", "ECG", (_CATS,), ("a", "b", "cat"),
+                  derive=("consecutive", "p")),
+)
+
+
+def _twin(d: PredicateDecl) -> PredicateDecl:
+    """An ECG declaration as the redundant mode's ECG2 copy: every
+    predicate name, its own and those it derives from, gains _b."""
+    return replace(d, name=f"{d.name}_b", source="ECG2",
+                   derive=(*d.derive[:1], *(f"{q}_b" for q in d.derive[1:])))
+
+
 def cardiac_schema(mode: str = "full") -> PredicateSchema:
     """Predicate declarations (with derivation rules) for one dataset mode."""
     if mode not in MODES:
         raise UsageError(f"unknown mode {mode!r}")
-    g = [PredicateDecl("suc", 2, "global", argspec=("b", "a")),
-         PredicateDecl("suci", 2, "global", argspec=("b", "a"))]
+    g = (PredicateDecl("suc", "global", argspec=("b", "a")),
+         PredicateDecl("suci", "global", argspec=("b", "a")))
     if mode == "full":
         return PredicateSchema((
-            PredicateDecl("p", 2, "event", "ECG", ((_SHAPES),)),
-            PredicateDecl("qrs", 2, "event", "ECG", ((_SHAPES),)),
-            PredicateDecl("dias", 2, "event", "ABP", ((_AMPS),)),
-            PredicateDecl("sys", 2, "event", "ABP", ((_AMPS),)),
-            PredicateDecl("rr1", 3, "relational", "ECG", ((_CATS),),
-                          ("a", "b", "cat"), derive=("consecutive", "qrs")),
-            PredicateDecl("pr1", 3, "relational", "ECG", ((_CATS),),
-                          ("a", "b", "cat"), derive=("next", "p", "qrs"),
-                          scale="wave"),
-            PredicateDecl("pp1", 3, "relational", "ECG", ((_CATS),),
-                          ("a", "b", "cat"), derive=("consecutive", "p")),
-            PredicateDecl("ss1", 3, "relational", "ABP", ((_CATS),),
+            *_ECG,
+            PredicateDecl("dias", "event", "ABP", (_AMPS,)),
+            PredicateDecl("sys", "event", "ABP", (_AMPS,)),
+            PredicateDecl("ss1", "relational", "ABP", (_CATS,),
                           ("a", "b", "cat"), derive=("consecutive", "sys")),
-            PredicateDecl("ds1", 3, "relational", "ABP", ((_CATS),),
+            PredicateDecl("ds1", "relational", "ABP", (_CATS,),
                           ("a", "b", "cat"), derive=("next", "dias", "sys"),
                           scale="wave"),
-            PredicateDecl("cycle_abp", 4, "relational", "ABP", (),
+            PredicateDecl("cycle_abp", "relational", "ABP", (),
                           ("a", "var", "b", "var"),
                           derive=("cycle", "dias", "sys")),
             *g))
     if mode == "reduced":
         return PredicateSchema((
-            PredicateDecl("qrs", 1, "event", "ECG"),
-            PredicateDecl("sys", 2, "event", "ABP", ((_AMPS),)),
-            PredicateDecl("rr1", 3, "relational", "ECG", ((_CATS),),
+            PredicateDecl("qrs", "event", "ECG"),
+            PredicateDecl("sys", "event", "ABP", (_AMPS,)),
+            PredicateDecl("rr1", "relational", "ECG", (_CATS,),
                           ("a", "b", "cat"), derive=("consecutive", "qrs")),
-            PredicateDecl("ss1", 3, "relational", "ABP", ((_CATS),),
+            PredicateDecl("ss1", "relational", "ABP", (_CATS,),
                           ("a", "b", "cat"), derive=("consecutive", "sys")),
             *g))
     if mode == "split":
         return PredicateSchema((
-            PredicateDecl("p", 1, "event", "P"),
-            PredicateDecl("qrs", 1, "event", "QRS"),
-            PredicateDecl("pp1", 3, "relational", "P", ((_CATS),),
+            PredicateDecl("p", "event", "P"),
+            PredicateDecl("qrs", "event", "QRS"),
+            PredicateDecl("pp1", "relational", "P", (_CATS,),
                           ("a", "b", "cat"), derive=("consecutive", "p")),
-            PredicateDecl("rr1", 3, "relational", "QRS", ((_CATS),),
+            PredicateDecl("rr1", "relational", "QRS", (_CATS,),
                           ("a", "b", "cat"), derive=("consecutive", "qrs")),
             *g))
     # redundant: the ECG plus a renamed copy of itself
-    return PredicateSchema((
-        PredicateDecl("p", 2, "event", "ECG", ((_SHAPES),)),
-        PredicateDecl("qrs", 2, "event", "ECG", ((_SHAPES),)),
-        PredicateDecl("p_b", 2, "event", "ECG2", ((_SHAPES),)),
-        PredicateDecl("qrs_b", 2, "event", "ECG2", ((_SHAPES),)),
-        PredicateDecl("rr1", 3, "relational", "ECG", ((_CATS),),
-                      ("a", "b", "cat"), derive=("consecutive", "qrs")),
-        PredicateDecl("pr1", 3, "relational", "ECG", ((_CATS),),
-                      ("a", "b", "cat"), derive=("next", "p", "qrs"),
-                      scale="wave"),
-        PredicateDecl("pp1", 3, "relational", "ECG", ((_CATS),),
-                      ("a", "b", "cat"), derive=("consecutive", "p")),
-        PredicateDecl("rr1_b", 3, "relational", "ECG2", ((_CATS),),
-                      ("a", "b", "cat"), derive=("consecutive", "qrs_b")),
-        PredicateDecl("pr1_b", 3, "relational", "ECG2", ((_CATS),),
-                      ("a", "b", "cat"), derive=("next", "p_b", "qrs_b"),
-                      scale="wave"),
-        PredicateDecl("pp1_b", 3, "relational", "ECG2", ((_CATS),),
-                      ("a", "b", "cat"), derive=("consecutive", "p_b")),
-        *g))
+    return PredicateSchema((*_ECG, *map(_twin, _ECG), *g))
 
 
 @dataclass(frozen=True)
@@ -125,6 +120,8 @@ class GeneratorConfig:
             raise UsageError(f"unknown mode {self.mode!r}")
         if self.cycles < 4:
             raise UsageError("need a budget of at least 4 beats")
+        if self.per_class < 0:
+            raise UsageError("per_class must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -139,6 +136,16 @@ class RhythmTemplate:
     fibrillatory: bool = False           # dense abnormal p-like waves
     sys_amp: tuple[int, ...] = ()        # per-beat systolic base amplitude
     dias_amp: int = 80
+
+
+def _repeat(label: str, motif: str, inner: tuple[int, ...], join: int,
+            reps: int) -> RhythmTemplate:
+    """reps copies of a beat motif, inner the intervals within one copy and
+    join the interval between copies; ectopic beats are weaker."""
+    beats = tuple(motif) * reps
+    return RhythmTemplate(label, beats, ((*inner, join) * reps)[:-1],
+                          sys_amp=tuple(55 if b == "V" else 100
+                                        for b in beats))
 
 
 def rhythm_template(label: str, cycles: int, pause: bool) -> RhythmTemplate:
@@ -165,39 +172,12 @@ def rhythm_template(label: str, cycles: int, pause: bool) -> RhythmTemplate:
         return RhythmTemplate(label, ("N",) * cycles, iv, conducted_p=False,
                               fibrillatory=True, sys_amp=amps)
     if label == "ves":
-        reps = max(1, cycles // 3)
-        beats: list[str] = []
-        iv: list[int] = []
-        for r in range(reps):
-            if r:
-                iv.append(800)
-            beats += ["N", "V", "N"]
-            iv += [350, 1050]
-        return RhythmTemplate(label, tuple(beats), tuple(iv),
-                              sys_amp=tuple(55 if b == "V" else 100
-                                            for b in beats))
+        return _repeat(label, "NVN", (350, 1050), 800, max(1, cycles // 3))
     if label == "bige":
-        reps = max(2, cycles // 2)
-        beats = ("N", "V") * reps
-        iv = []
-        for r in range(reps):
-            iv.append(350)
-            if r < reps - 1:
-                iv.append(730)
-        return RhythmTemplate(label, beats, tuple(iv),
-                              sys_amp=tuple(55 if b == "V" else 100
-                                            for b in beats))
+        return _repeat(label, "NV", (350,), 730, max(2, cycles // 2))
     if label == "doublet":
-        reps = max(1, cycles // 4)
-        beats = ("N", "V", "V", "N") * reps
-        iv = []
-        for r in range(reps):
-            if r:
-                iv.append(1100)
-            iv += [350, 380, 1100]
-        return RhythmTemplate(label, beats, tuple(iv),
-                              sys_amp=tuple(55 if b == "V" else 100
-                                            for b in beats))
+        return _repeat(label, "NVVN", (350, 380, 1100), 1100,
+                       max(1, cycles // 4))
     raise UsageError(f"unknown class {label!r}")
 
 
@@ -386,47 +366,32 @@ def _amp_arg():
     return inline(1, 1, "low", "normal", "high")
 
 
-def _ecg_bias(qrs: str = "qrs", p: str | None = "p", rr: str = "rr1",
-              pr: str = "pr1", shapes: bool = True, units: int = 4,
-              prefix: str = "R", p_prefix: str = "P") -> DlabTemplate:
-    """Beat-sequence grammar: a mandatory first qrs, then up to units-1
-    further qrs blocks, each with its ordering literal, optional rr timing,
-    and an optional conducted p in between."""
-
-    def qrs_lit(i: int):
-        args = [f"{prefix}{i}"]
-        if shapes:
-            args.append(_shape_arg())
-        return literal(qrs, *args)
-
-    def p_lit(i: int):
-        args = [f"{p_prefix}{i}"]
-        if shapes:
-            args.append(_shape_arg())
-        return literal(p, *args)
+def _ecg_bias(suffix: str = "", prefix: str = "R", p_prefix: str = "P"
+              ) -> DlabTemplate:
+    """Beat-sequence grammar over qrs, p, rr1 and pr1, each name ending in
+    suffix: a mandatory first qrs, then up to three further qrs blocks, each
+    with its ordering literal, optional rr timing, and an optional
+    conducted p in between."""
+    qrs, p, rr, pr = (f"{n}{suffix}" for n in ("qrs", "p", "rr1", "pr1"))
 
     def unit(i: int):
-        parts = [qrs_lit(i),
-                 choice(1, 2,
-                        literal("suc", f"{prefix}{i}", f"{prefix}{i-1}"),
-                        literal("suci", f"{prefix}{i}", f"{prefix}{i-1}")),
-                 choice(0, 1,
-                        literal(rr, f"{prefix}{i-1}", f"{prefix}{i}", _cat_arg()))]
-        if p is not None:
-            parts.append(choice(0, 1, choice(
-                "len", "len",
-                p_lit(i),
-                literal("suc", f"{p_prefix}{i}", f"{prefix}{i-1}"),
-                literal("suc", f"{prefix}{i}", f"{p_prefix}{i}"),
-                choice(0, 1, literal(pr, f"{p_prefix}{i}", f"{prefix}{i}",
-                                     _cat_arg())))))
-        return parts
+        r, r0, pw = f"{prefix}{i}", f"{prefix}{i-1}", f"{p_prefix}{i}"
+        return [literal(qrs, r, _shape_arg()),
+                choice(1, 2, literal("suc", r, r0), literal("suci", r, r0)),
+                choice(0, 1, literal(rr, r0, r, _cat_arg())),
+                choice(0, 1, choice(
+                    "len", "len",
+                    literal(p, pw, _shape_arg()),
+                    literal("suc", pw, r0),
+                    literal("suc", r, pw),
+                    choice(0, 1, literal(pr, pw, r, _cat_arg()))))]
 
     return compile_template(choice(
-        "len", "len", qrs_lit(0), *nested([unit(i) for i in range(1, units)])))
+        "len", "len", literal(qrs, f"{prefix}0", _shape_arg()),
+        *nested([unit(i) for i in range(1, 4)])))
 
 
-def _abp_bias(units: int = 4) -> DlabTemplate:
+def _abp_bias() -> DlabTemplate:
     def beat(i: int):
         return [literal("dias", f"D{i}", _amp_arg()),
                 literal("suc", f"D{i}", f"S{i-1}"),
@@ -446,7 +411,7 @@ def _abp_bias(units: int = 4) -> DlabTemplate:
         choice(0, "len",
                literal("ds1", "D0", "S0", _cat_arg()),
                literal("cycle_abp", "D0", "VA0", "S0", "VB0")),
-        *nested([beat(i) for i in range(1, units)])))
+        *nested([beat(i) for i in range(1, 4)])))
 
 
 def _chain_bias(pred: str, timing: str, var: str, units: int,
@@ -477,6 +442,5 @@ def monosource_biases(mode: str = "full") -> dict[str, DlabTemplate]:
                 "QRS": _chain_bias("qrs", "rr1", "QB", 5)}
     if mode == "redundant":
         return {"ECG": _ecg_bias(),
-                "ECG2": _ecg_bias(qrs="qrs_b", p="p_b", rr="rr1_b",
-                                  pr="pr1_b", prefix="T", p_prefix="Q")}
+                "ECG2": _ecg_bias("_b", prefix="T", p_prefix="Q")}
     raise UsageError(f"unknown mode {mode!r}")

@@ -144,6 +144,29 @@ def test_synth_unwritable_out_usage_error(tmp_path, capsys):
         f"error: cannot write {blocker / 'ECG.facts'}: ")
 
 
+def test_synth_negative_per_class_usage_error(tmp_path, capsys):
+    rc = main(["synth", "--per-class", "-1", "--out", str(tmp_path)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: per_class must be >= 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["learn-naive"],
+                                     ["crossval", "--folds", "2",
+                                      "--mode", "naive"]])
+def test_naive_too_many_events_usage_error(fact_dir, capsys, command):
+    # 300 events would nest the naive grammar past MAX_NESTING
+    rc = main([*command, "--max-events", "300",
+               str(fact_dir / "ECG.facts"), str(fact_dir / "ABP.facts")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: max_events must be between 1 and "
+                   f"{(MAX_NESTING - 1) // 2}\n")
+
+
 def test_crossval_unwritable_json_usage_error(fact_dir, bias_dir, tmp_path,
                                                capsys):
     # checked before any fold runs: no fold warning, no report, no file

@@ -286,12 +286,12 @@ class TestStandardizeApart:
 class TestSchema:
     def test_duplicate_declaration_rejected(self):
         with pytest.raises(UsageError):
-            PredicateSchema((PredicateDecl("p", 2, "event", "ECG"),
-                             PredicateDecl("p", 2, "event", "ABP")))
+            PredicateSchema((PredicateDecl("p", "event", "ECG"),
+                             PredicateDecl("p", "event", "ABP")))
 
     def test_unknown_role_rejected(self):
         with pytest.raises(UsageError):
-            PredicateDecl("p", 2, "thing", "ECG")
+            PredicateDecl("p", "thing", "ECG")
 
 
 def test_canonical_text_order_insensitive():

@@ -10,8 +10,8 @@ from relic import (GeneratorConfig, ParseError, UsageError, generate_dataset,
                    learn_theory, parse_model_file)
 from relic.data import (Dataset, Event, Interpretation, SymbolizationConfig,
                         saturate)
-from relic.dlab import (count_space, enumerate_bodies, member,
-                        template_text)
+from relic.dlab import (MAX_NESTING, count_space, enumerate_bodies, member,
+                        parse_dlab, template_text)
 from relic.logic import (Literal, body_key, clause, covers, lit,
                          standardize_apart, theta_subsumes)
 from relic.multisource import (InterleavingConstraint, aggregate,
@@ -234,13 +234,22 @@ class TestNaiveBias:
         from relic.logic import PredicateDecl, PredicateSchema
 
         schema = PredicateSchema((
-            PredicateDecl("beep", 2, "event", "S1", (("on", "off"),)),))
+            PredicateDecl("beep", "event", "S1", (("on", "off"),)),))
         bias = naive_bias(schema, 1)
         assert count_space(bias) == 2
 
     def test_zero_events_rejected(self):
         with pytest.raises(UsageError):
             naive_bias(SCHEMA, 0)
+
+    def test_depth_bounded_by_nesting_limit(self):
+        # the deepest grammar naive_bias builds still reads back from its
+        # text; one event more would nest past MAX_NESTING
+        deepest = (MAX_NESTING - 1) // 2
+        text = template_text(naive_bias(SCHEMA, deepest))
+        assert template_text(parse_dlab(text)) == text
+        with pytest.raises(UsageError, match="between 1 and"):
+            naive_bias(SCHEMA, deepest + 1)
 
     def test_grows_with_depth(self):
         assert count_space(naive_bias(SCHEMA, 3)) \
