@@ -35,10 +35,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InternalError, ParseError, UsageError
 from .logic import FactIndex, Literal, PredicateSchema
+
+if TYPE_CHECKING:
+    from .dlab import ChoiceSpec, DlabTemplate
 
 _IDENT_RE = re.compile(r"^(\w+)_(\d+)_([A-Za-z][A-Za-z0-9]*)$")
 _FACT_RE = re.compile(r"^([a-z][A-Za-z0-9_]*)\s*(?:\(([^()]*)\))?$")
@@ -335,8 +338,9 @@ def saturate(interp: Interpretation, cfg: SymbolizationConfig,
     Derived facts: timestamp-free event facts with symbolized attributes,
     suc/suci over the interpretation's timeline (succession_facts), the
     schema's timing predicates, and cycle_abp.
-    Deterministic and idempotent; an event-free interpretation is returned
-    unchanged.
+    Deterministic and idempotent; an event-free interpretation, or one
+    that already holds everything derived (a saturated file read back), is
+    returned unchanged: the same object, sharing its index and memo.
     """
     events = interp.raw_events
     if not events:
@@ -381,6 +385,8 @@ def saturate(interp: Interpretation, cfg: SymbolizationConfig,
         else:
             raise InternalError(f"unknown derivation kind {kind!r}")
 
+    if interp.facts.issuperset(derived):
+        return interp
     return Interpretation(situation=interp.situation, source=interp.source,
                           label=interp.label,
                           facts=interp.facts | frozenset(derived),
@@ -432,8 +438,14 @@ def check_consistency(e1: Interpretation, e2: Interpretation) -> bool:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Interpretations grouped by source and situation, plus the schema;
-    aggregated keeps multisource.aggregate's merges for every restriction."""
+    """Interpretations grouped by source and situation, plus the schema.
+
+    Two tables are shared by a dataset and every restriction of it, so a
+    dataset family (a cross-validation's folds and its full run) does each
+    piece of work once: aggregated keeps multisource.aggregate's merges,
+    and templates keeps each class bias the biased pipeline compiled,
+    keyed by its bottom clauses' DLAB blocks in order.
+    """
 
     interpretations: tuple[Interpretation, ...]
     schema: PredicateSchema
@@ -441,6 +453,8 @@ class Dataset:
     _by_key: dict[tuple[str, int], Interpretation] = field(
         init=False, repr=False, compare=False)
     aggregated: dict[frozenset[str], dict[int, Interpretation]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
+    templates: dict[tuple[ChoiceSpec, ...], DlabTemplate] = field(
         init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -473,4 +487,5 @@ class Dataset:
         out = Dataset(tuple(i for i in self.interpretations
                             if i.situation in keep), self.schema, self.classes)
         object.__setattr__(out, "aggregated", self.aggregated)
+        object.__setattr__(out, "templates", self.templates)
         return out

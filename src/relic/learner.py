@@ -6,7 +6,10 @@ The search identifies a clause by the body text dlab.refine hands it with
 each child's selection and body: the sorted literal texts joined by ", "
 (every clause of one search has the head class(label)).  refine keeps each
 selection's children on the bias template, so the classes, covering rounds
-and pipeline runs that share a template expand a selection once.  A child
+and pipeline runs that share a template expand a selection once; the
+biased pipeline compiles each distinct class bias once per dataset and its
+restrictions (Dataset.templates), so cross-validation folds that
+synthesize the same bias share one template.  A child
 marked additive holds every literal of its parent, so the learner tests it
 only on the examples its parent covers; every selection a candidate pools
 induces the candidate's literal multiset, so the mark holds for the
@@ -19,7 +22,8 @@ example's facts, which never change; not on the class label, the head or
 the fold.  The memo lives and dies with its example.  The folds of a
 cross-validation share it because Dataset.restrict keeps the same source
 Interpretations and multisource.aggregate merges a situation once for a
-dataset and all its restrictions.
+dataset and all its restrictions.  A miss runs covers, which plans each
+body literal once per example, on the example's FactIndex.
 """
 
 from __future__ import annotations

@@ -4,15 +4,18 @@ Terms are plain strings under the case convention used throughout the fact
 files and rule examples: a name starting with an uppercase character is a
 variable, anything else (lowercase identifier or integer text) is a constant.
 All values here are immutable; the matching procedures are pure functions and
-safe to call concurrently.
+safe to call concurrently (an index's plan cache only ever gains entries
+equal to what a fresh plan would give).
 
 Coverage, first-substitution search and theta-subsumption share one
-backtracking matcher over a FactIndex.  It plans the argument slots of each
-literal once per call, then matches the most constrained literal first (the
-one with the fewest candidate rows under the current binding) and fails a
-search node as soon as any remaining literal has no candidate row, in the
-manner of constraint-satisfaction theta-subsumption (Maloberti & Sebag,
-"Fast theta-subsumption with constraint satisfaction algorithms", 2004).
+backtracking matcher over a FactIndex.  Each literal is planned once per
+example: its argument slots and the rows its constants allow are kept on
+the example's FactIndex and reused by every later call.  The matcher then
+matches the most constrained literal first (the one with the fewest
+candidate rows under the current binding) and fails a search node as soon
+as any remaining literal has no candidate row, in the manner of
+constraint-satisfaction theta-subsumption (Maloberti & Sebag, "Fast
+theta-subsumption with constraint satisfaction algorithms", 2004).
 """
 
 from __future__ import annotations
@@ -105,9 +108,15 @@ def apply_substitution(literal: Literal, subst: Mapping[str, Term]) -> Literal:
 
 
 class FactIndex:
-    """Ground facts indexed by (predicate, arity) for fast matching."""
+    """Ground facts indexed by (predicate, arity) for fast matching.
 
-    __slots__ = ("_by_key", "_pos_maps")
+    Each body literal matched against the index is planned once, on first
+    use, and its step is kept with the index: a literal recurs across the
+    clauses of a search, its classes and its folds, but what it may match
+    depends only on the literal and these facts.
+    """
+
+    __slots__ = ("_by_key", "_columns", "_steps")
 
     def __init__(self, facts: Iterable[Literal]):
         by_key: dict[tuple[str, int], list[tuple[Term, ...]]] = {}
@@ -115,58 +124,79 @@ class FactIndex:
             by_key.setdefault(f.key, []).append(f.args)
         # sorted so matching order (and thus found substitutions) is stable
         self._by_key = {k: tuple(sorted(v)) for k, v in by_key.items()}
-        self._pos_maps: dict = {}
+        self._columns: dict[tuple[str, int], list[_Column | None]] = {}
+        self._steps: dict[Literal, _Step | None] = {}
 
-    def candidates(self, key: tuple[str, int]) -> tuple[tuple[Term, ...], ...]:
-        return self._by_key.get(key, ())
-
-    def candidates_at(self, key: tuple[str, int], pos: int,
-                      value: Term) -> tuple[tuple[Term, ...], ...]:
-        """Rows whose argument at pos equals value (built lazily per pos)."""
-        mkey = (key, pos)
-        table = self._pos_maps.get(mkey)
-        if table is None:
-            table = {}
+    def column(self, key: tuple[str, int], pos: int) -> _Column:
+        """The rows of key by their argument at pos, in sorted row order
+        (built on first use)."""
+        columns = self._columns_of(key)
+        column = columns[pos]
+        if column is None:
+            table: dict[Term, list[tuple[Term, ...]]] = {}
             for args in self._by_key.get(key, ()):
                 table.setdefault(args[pos], []).append(args)
-            table = {v: tuple(rows) for v, rows in table.items()}
-            self._pos_maps[mkey] = table
-        return table.get(value, ())
+            column = columns[pos] = {v: tuple(rows)
+                                     for v, rows in table.items()}
+        return column
 
+    def _columns_of(self, key: tuple[str, int]) -> list[_Column | None]:
+        columns = self._columns.get(key)
+        if columns is None:
+            columns = self._columns[key] = [None] * key[1]
+        return columns
 
-def _as_index(facts: Iterable[Literal] | FactIndex) -> FactIndex:
-    return facts if isinstance(facts, FactIndex) else FactIndex(facts)
-
-
-_Slot = tuple[int, Term, bool]
-_Step = tuple[tuple[str, int], tuple[tuple[Term, ...], ...],
-              tuple[tuple[int, Term], ...], tuple[_Slot, ...]]
-
-
-def _plan(literals: Sequence[Literal],
-          index: FactIndex) -> tuple[_Step, ...] | None:
-    """Per literal: its key, the rows its constants allow, its variable
-    positions and its (pos, term, is_var) slots; None when the constants of
-    some literal already rule out every row."""
-    plan = []
-    for literal in literals:
+    def step(self, literal: Literal) -> _Step | None:
+        """literal's matching step on these facts, planned on first use;
+        None when its constants already rule out every row."""
+        step = self._steps.get(literal, _UNPLANNED)
+        if step is not _UNPLANNED:
+            return step
         key = literal.key
-        rows = index.candidates(key)
-        var_slots = []
+        rows = self._by_key.get(key, ())
         slots = []
         for pos, a in enumerate(literal.args):
             is_var = is_variable(a)
             slots.append((pos, a, is_var))
-            if is_var:
-                var_slots.append((pos, a))
-            else:
-                found = index.candidates_at(key, pos, a)
+            if not is_var and rows:
+                found = self.column(key, pos).get(a, ())
                 if len(found) < len(rows):
                     rows = found
-        if not rows:
-            return None
-        plan.append((key, rows, tuple(var_slots), tuple(slots)))
-    return tuple(plan)
+        step = None
+        if rows:
+            step = _Step(key, rows, tuple(slots), self._columns_of(key))
+        self._steps[literal] = step
+        return step
+
+
+_Column = dict[Term, tuple[tuple[Term, ...], ...]]
+
+
+class _Step:
+    """One literal's step on one FactIndex: the rows its constants allow,
+    its (pos, term, is_var) slots, its (pos, variable) pairs, and its
+    key's columns by position, shared with every step of that key and
+    built on the first bound lookup (FactIndex.column)."""
+
+    __slots__ = ("key", "rows", "slots", "variables", "columns")
+
+    def __init__(self, key: tuple[str, int],
+                 rows: tuple[tuple[Term, ...], ...],
+                 slots: tuple[tuple[int, Term, bool], ...],
+                 columns: list[_Column | None]):
+        self.key = key
+        self.rows = rows
+        self.slots = slots
+        self.variables = tuple((pos, term) for pos, term, is_var in slots
+                               if is_var)
+        self.columns = columns
+
+
+_UNPLANNED = object()
+
+
+def _as_index(facts: Iterable[Literal] | FactIndex) -> FactIndex:
+    return facts if isinstance(facts, FactIndex) else FactIndex(facts)
 
 
 def _match(literals: Sequence[Literal], index: FactIndex,
@@ -175,27 +205,33 @@ def _match(literals: Sequence[Literal], index: FactIndex,
     and theta_subsumes: a grounding of every literal inside index, or None.
 
     Each literal is tried against the rows for its most selective bound
-    position only: its constants are weighed once, in the plan, and its
-    variables as they become bound.  Those rows keep the sorted row order.
-    With dynamic set, every search node first counts those rows for each
-    remaining literal: a literal with none fails the node at once (forward
-    checking), otherwise the literal with the fewest rows is matched next,
-    ties going to the earlier literal.  Without it the literals are matched
-    left to right, so the first grounding found is the first in sorted-row
-    order.
+    position only: its constants are weighed once per index, in its step,
+    and its variables as they become bound.  Those rows keep the sorted
+    row order.  With dynamic set, every search node first counts those rows
+    for each remaining literal: a literal with none fails the node at once
+    (forward checking), otherwise the literal with the fewest rows is
+    matched next, ties going to the earlier literal.  Without it the
+    literals are matched left to right, so the first grounding found is
+    the first in sorted-row order.
     """
-    plan = _plan(literals, index)
-    if plan is None:
-        return None
+    plan = []
+    for literal in literals:
+        step = index.step(literal)
+        if step is None:
+            return None
+        plan.append(step)
     binding: Substitution = {}
-    candidates_at = index.candidates_at
+    column = index.column
 
     def rows(step: _Step) -> tuple[tuple[Term, ...], ...]:
-        key, best, var_slots, _ = step
-        for pos, var in var_slots:
+        best = step.rows
+        columns = step.columns
+        for pos, var in step.variables:
             value = binding.get(var)
             if value is not None:
-                found = candidates_at(key, pos, value)
+                # a built column is never empty: a step's key has rows
+                by_value = columns[pos] or column(step.key, pos)
+                found = by_value.get(value, ())
                 if len(found) < len(best):
                     best = found
                     if not found:
@@ -216,7 +252,7 @@ def _match(literals: Sequence[Literal], index: FactIndex,
                     pick, fewest = i, found
         else:
             fewest = rows(remaining[0])
-        slots = remaining[pick][3]
+        slots = remaining[pick].slots
         rest = remaining[:pick] + remaining[pick + 1:]
         for args in fewest:
             trail: list[Term] = []
@@ -238,7 +274,7 @@ def _match(literals: Sequence[Literal], index: FactIndex,
                 del binding[v]
         return False
 
-    return binding if solve(plan) else None
+    return binding if solve(tuple(plan)) else None
 
 
 def covers(c: Clause, facts: Iterable[Literal] | FactIndex) -> bool:

@@ -5,7 +5,9 @@ The pipeline learns rules per source, merges aligned examples by set union
 (dropping label-inconsistent situations), generates bottom clauses by
 interleaving the events of every monosource rule pair, turns each bottom
 clause into one DLAB block, and learns again on the aggregated data inside
-the union of those blocks.
+the union of those blocks.  A class bias depends only on its blocks, in
+order, so each distinct one is compiled once per dataset and its
+restrictions (Dataset.templates), with its refine cache.
 """
 
 from __future__ import annotations
@@ -386,7 +388,9 @@ def biased_multisource_learn(dataset: Dataset,
                              params: LearnerParams = LearnerParams()
                              ) -> MultisourceResult:
     """Learn per source, aggregate, interleave rule pairs into bottom
-    clauses, build one bias per class, and learn again on aggregated data."""
+    clauses, build one bias per class, and learn again on aggregated data.
+    A class bias whose blocks dataset's family has compiled before is
+    taken from dataset.templates; synthesize_bias runs only on a miss."""
     sources = dataset.sources()
     if len(sources) != 2:
         raise UsageError("the pipeline handles exactly two sources")
@@ -439,7 +443,11 @@ def biased_multisource_learn(dataset: Dataset,
                         h1, h2, dataset.schema, (s1, s2), constraints):
                     found.setdefault(body_key(bt.clause), bt)
         bottoms[label] = tuple(found.values())
-        class_biases[label] = synthesize_bias(bottoms[label])
+        blocks = tuple(bt.block for bt in bottoms[label])
+        bias = dataset.templates.get(blocks)
+        if bias is None:
+            bias = dataset.templates[blocks] = synthesize_bias(bottoms[label])
+        class_biases[label] = bias
 
     final = Theory()
     for label, bias in class_biases.items():  # in class order

@@ -333,6 +333,19 @@ class TestSaturate:
         once = saturate(i, CFG, SCHEMA)
         twice = saturate(once, CFG, SCHEMA)
         assert once == twice
+        assert twice is once
+
+    def test_saturated_file_read_back_returned_as_is(self):
+        """A written file holds every derived fact, so saturating what it
+        reads back returns that very interpretation; the same events
+        without their derived facts still gain all of them."""
+        ds = generate_dataset(GeneratorConfig(seed=1, per_class=2, cycles=6))
+        for read in parse_model_file(write_model_file(ds.interpretations)):
+            assert saturate(read, CFG, SCHEMA) is read
+            bare = _interp(read.raw_events, read.label, read.situation,
+                           read.source)
+            assert bare.facts < read.facts
+            assert saturate(bare, CFG, SCHEMA).facts == read.facts
 
     def test_suci_implies_suc_and_count(self):
         ds = generate_dataset(GeneratorConfig(seed=5, per_class=2))

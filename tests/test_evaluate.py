@@ -2,10 +2,13 @@ import pytest
 
 from relic import (GeneratorConfig, InterleavingConstraint, UsageError,
                    generate_dataset, monosource_biases)
+from relic import evaluate
 from relic.data import Dataset, Interpretation
+from relic.dlab import template_text
 from relic.evaluate import (MODES, comp_metric, cross_validate,
                             emit_report, make_folds)
 from relic.logic import clause, lit
+from relic.multisource import biased_multisource_learn
 from relic.synth import cardiac_schema
 
 SCHEMA = cardiac_schema("full")
@@ -159,6 +162,52 @@ class TestSmallPipelineCrossval:
         warm = run()
         assert cold[1]  # the split schema leaves some classes unlearned
         assert cold == warm
+
+    def test_folds_share_class_biases(self, monkeypatch):
+        """A class bias is compiled once per dataset family: the folds and
+        the full run hold one template per distinct bias text, each fold's
+        restriction shares the dataset's table, and a pipeline whose
+        biases all come from the table learns what one on fresh data
+        learns."""
+        config = GeneratorConfig(seed=2, per_class=2)
+        constraints = [InterleavingConstraint("ABP", "dias", "sys")]
+        ds = generate_dataset(config)
+        biases = monosource_biases("full")
+        runs = []
+        learn = evaluate.biased_multisource_learn
+
+        def keep(dataset, *args, **kwargs):
+            assert dataset.templates is ds.templates
+            result = learn(dataset, *args, **kwargs)
+            runs.append(result)
+            return result
+
+        monkeypatch.setattr(evaluate, "biased_multisource_learn", keep)
+        cross_validate(ds, "biased", 3, biases=biases,
+                       constraints=constraints)
+        used = [t for r in runs for t in r.class_biases.values()]
+        assert len(runs) == 4
+        distinct = {id(t): t for t in used}
+        assert len(distinct) == len({template_text(t) for t in used}) \
+            < len(used)
+        assert distinct.keys() == {id(t) for t in ds.templates.values()}
+        assert ds.restrict([1, 2]).templates is ds.templates
+
+        again = biased_multisource_learn(ds, biases, constraints)
+        assert len(ds.templates) == len(distinct)
+        assert all(id(t) in distinct for t in again.class_biases.values())
+        fresh = biased_multisource_learn(generate_dataset(config),
+                                         monosource_biases("full"),
+                                         constraints)
+
+        def learned(result):
+            return {name: {label: ([str(c) for c in r.clauses],
+                                   r.stats.nodes, r.complete)
+                           for label, r in theory.per_class.items()}
+                    for name, theory in (("agg", result.theory),
+                                         *result.mono.items())}
+
+        assert learned(again) == learned(fresh)
 
 
 # Every mode's report for 3 folds over generate_dataset(seed=2, per_class=2,

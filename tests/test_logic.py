@@ -84,6 +84,19 @@ class TestCovers:
         facts = {lit("dias", "pd4", "80"), lit("sys", "ps4", "120")}
         assert not covers(clause("x", (lit("p", "Z", "normal"),)), facts)
 
+    def test_literal_planned_once_per_index(self):
+        """An index keeps each literal's step: an equal literal of a later
+        clause gets the same step, and a literal whose constants allow no
+        row gets None, which fails every clause holding it."""
+        index = FactIndex(CHAIN_FACTS)
+        assert find_covering_substitution(CHAIN, index) == {"X": "a",
+                                                            "Y": "b"}
+        step = index.step(lit("q", "X", "Y"))
+        assert step is not None and step is index.step(CHAIN.body[0])
+        assert index.step(lit("q", "c", "Y")) is None
+        assert not covers(clause("x", (lit("p", "X"), lit("q", "c", "Y"))),
+                          index)
+
     def test_agrees_with_oracle(self):
         rng = random.Random(17)
         for _ in range(300):
@@ -170,6 +183,19 @@ def sub_body_and_facts(draw):
 
 
 @st.composite
+def warm_index_cases(draw):
+    """A clause and facts as clause_and_facts draws them, plus earlier
+    clauses built from the same literal objects (the clause's own and a
+    few more), so that matching those first leaves the index with steps
+    and columns that the later calls reuse."""
+    c, facts = draw(clause_and_facts())
+    pool = [*c.body, *draw(st.lists(literals(TERMS), max_size=3))]
+    earlier = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1,
+                                     max_size=5), max_size=4))
+    return c, facts, [Clause(c.head, tuple(body)) for body in earlier]
+
+
+@st.composite
 def clause_pairs(draw):
     """c, and a d that is often an instance of c: c's literals under a
     substitution that may map to d's own variables, plus extra literals."""
@@ -223,16 +249,20 @@ class TestMatcherProperties:
         assert wide or not narrow
 
     @PROPERTY
-    @given(clause_and_facts())
-    @example((EMPTY_BODY, frozenset()))
-    @example((CHAIN, CHAIN_FACTS))
+    @given(warm_index_cases())
+    @example((EMPTY_BODY, frozenset(), []))
+    @example((CHAIN, CHAIN_FACTS, []))
+    @example((CHAIN, CHAIN_FACTS, [clause("x", CHAIN.body[::-1]),
+                                   clause("x", CHAIN.body[1:])]))
     def test_first_substitution(self, case):
-        c, facts = case
+        """On one index, every answer equals the oracle's, whichever steps
+        and columns the calls before it planned and kept there."""
+        c, facts, earlier = case
         index = FactIndex(facts)
+        for d in earlier:
+            assert covers(d, index) == brute_covers(d, facts)
         found = find_covering_substitution(c, index)
         assert found == brute_first_substitution(c, facts)
-        # answers do not depend on the position maps the index built lazily
-        # for the call before
         assert covers(c, index) == (found is not None)
 
     @PROPERTY
