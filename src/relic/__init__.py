@@ -7,17 +7,15 @@ that synthesizes a compact aggregated-data bias from per-source rules.
 """
 
 from .data import (Dataset, Event, Interpretation, SymbolizationConfig,
-                   check_consistency, parse_model_file, saturate,
-                   write_model_file)
+                   parse_model_file, saturate, write_model_file)
 from .dlab import (DlabTemplate, Selection, choice, clause_of,
                    compile_template, count_space, enumerate_bodies,
                    enumerate_selections, inline, literal, member, parse_dlab,
                    refine, start_selection, template_text)
 from .errors import (BiasError, InternalError, ParseError, RelicError,
                      UsageError)
-from .learner import (ClassResult, ClauseScore, LearnerParams, SearchStats,
-                      Theory, accuracy, learn_class, learn_theory,
-                      score_clause, train_accuracy)
+from .learner import (ClassResult, LearnerParams, SearchStats, Theory,
+                      accuracy, learn_class, learn_theory, train_accuracy)
 from .logic import (Clause, FactIndex, Literal, PredicateDecl,
                     PredicateSchema, apply_substitution, canonical_text,
                     clause, covers, lit, standardize_apart, theory_covers,
@@ -29,8 +27,8 @@ from .multisource import (AggregationResult, BottomClause,
                           filter_constraints, interleavings,
                           make_bottom_clause, naive_bias, parse_constraints,
                           synthesize_bias)
-from .evaluate import (EvaluationReport, FoldPlan, comp_metric,
-                       cross_validate, emit_report, make_folds)
+from .evaluate import (EvaluationReport, comp_metric, cross_validate,
+                       emit_report, make_folds)
 from .synth import (CLASSES, GeneratorConfig, cardiac_schema,
                     generate_dataset, generate_example, monosource_biases,
                     target_rules)

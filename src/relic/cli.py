@@ -16,11 +16,13 @@ from .data import (Dataset, SymbolizationConfig, parse_model_file,
                    saturate, write_model_file)
 from .dlab import count_space, parse_dlab, template_text
 from .errors import BiasError, ParseError, RelicError, UsageError
+from .evaluate import MODES as EVAL_MODES
 from .evaluate import (ClassReport, EvaluationReport, cross_validate,
                        emit_report)
 from .learner import LearnerParams, learn_theory
 from .multisource import (aggregate, biased_multisource_learn, naive_bias,
                           parse_constraints)
+from .synth import MODES as DATA_MODES
 from .synth import GeneratorConfig, cardiac_schema, generate_dataset
 
 
@@ -224,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common_learning(p):
         p.add_argument("--data-mode", dest="data_mode", default="full",
-                       choices=["full", "reduced", "split", "redundant"],
-                       help="schema the fact files follow")
+                       choices=DATA_MODES, help="schema the fact files follow")
         p.add_argument("--beam-width", type=int, default=10)
         p.add_argument("--max-clauses", type=int, default=8)
         p.add_argument("data", nargs="+", help="fact files")
@@ -234,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--per-class", type=int, default=10)
     p.add_argument("--cycles", type=int, default=6)
-    p.add_argument("--mode", default="full",
-                   choices=["full", "reduced", "split", "redundant"])
+    p.add_argument("--mode", default="full", choices=DATA_MODES)
     p.add_argument("--out", default="synth_out")
     p.set_defaults(func=cmd_synth)
 
@@ -261,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crossval", help="cross-validated evaluation")
     p.add_argument("--folds", required=True, help="fold count or 'loo'")
     p.add_argument("--mode", required=True, dest="cv_mode",
-                   choices=["mono", "naive", "biased"],
-                   help="evaluation mode")
+                   choices=EVAL_MODES, help="evaluation mode")
     p.add_argument("--source", help="source id (mono mode)")
     p.add_argument("--bias", action="append", default=[],
                    metavar="SOURCE=FILE")

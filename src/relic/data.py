@@ -424,14 +424,6 @@ def _derive_cycles(events: Sequence[Event], dias_pred: str, sys_pred: str,
     return out
 
 
-def check_consistency(e1: Interpretation, e2: Interpretation) -> bool:
-    """Two views of one situation agree iff their labels agree."""
-    if e1.situation != e2.situation:
-        raise UsageError(
-            f"cannot compare situations {e1.situation} and {e2.situation}")
-    return e1.label == e2.label
-
-
 # --------------------------------------------------------------------------
 # datasets
 # --------------------------------------------------------------------------

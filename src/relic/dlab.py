@@ -25,7 +25,7 @@ from math import comb, prod
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import BiasError, ParseError, UsageError
-from .logic import Clause, Literal, Term
+from .logic import Clause, Literal, Term, body_key, clause
 
 # --------------------------------------------------------------------------
 # build specs (programmatic construction) and compiled node table
@@ -384,7 +384,7 @@ def induce_body(t: DlabTemplate, sel: Selection) -> tuple[Literal, ...]:
 
 
 def clause_of(t: DlabTemplate, sel: Selection, label: str) -> Clause:
-    return Clause(Literal("class", (label,)), induce_body(t, sel))
+    return clause(label, induce_body(t, sel))
 
 
 # --------------------------------------------------------------------------
@@ -586,7 +586,7 @@ def _refinements(t: DlabTemplate, sel: Selection) -> dict[tuple, Refinement]:
     reached = _reached_nodes(t, sel)
     if reached is None and sel.picks:
         raise UsageError("refine requires a valid or empty start selection")
-    base_key = tuple(sorted(str(b) for b in induce_body(t, sel)))
+    base_key = body_key(induce_body(t, sel))
     results: dict[tuple, Refinement] = {}
 
     def consider(candidate: Selection, additive: bool):
@@ -596,7 +596,7 @@ def _refinements(t: DlabTemplate, sel: Selection) -> dict[tuple, Refinement]:
         # inline element (or a completion of a terminal root) rewrites one
         # of sel's literals to a greater arity, so sel's literal is lost
         body = induce_body(t, candidate)
-        key = tuple(sorted(str(b) for b in body))
+        key = body_key(body)
         if key == base_key:
             # same multiset as sel, so additive means the same for both
             for k, deeper in _refinements(t, candidate).items():

@@ -25,16 +25,10 @@ from .multisource import (InterleavingConstraint, aggregate,
 MODES = ("mono", "naive", "biased")
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Ordered test sets partitioning the situation ids."""
-
-    test_sets: tuple[tuple[int, ...], ...]
-
-
-def make_folds(situations: Sequence[int], p: int) -> FoldPlan:
-    """Split situations into p ordered test sets; remainder situations go
-    to the earliest folds."""
+def make_folds(situations: Sequence[int],
+               p: int) -> tuple[tuple[int, ...], ...]:
+    """Split situations into p ordered test sets, which partition them;
+    remainder situations go to the earliest folds."""
     n = len(situations)
     if not 2 <= p <= n:
         raise UsageError(f"fold count {p} outside 2..{n}")
@@ -46,7 +40,7 @@ def make_folds(situations: Sequence[int], p: int) -> FoldPlan:
         size = base + (1 if j < rem else 0)
         sets.append(tuple(ordered[at:at + size]))
         at += size
-    return FoldPlan(tuple(sets))
+    return tuple(sets)
 
 
 def comp_metric(clauses: Sequence[Clause], schema: PredicateSchema) -> str:
@@ -94,22 +88,28 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
 
     Folds run one after another in plan order, then one run on the full
     dataset; each mode only supplies which examples are held out, how a
-    fold learns, and the fold's audit entry.  A fold is scored on the
-    held-out examples outside its test set: in biased mode, the very
-    examples its pipeline learned from.
+    fold learns, and which source views its audit lists.  A fold is scored
+    on the held-out examples outside its test set: in biased mode, the
+    very examples its pipeline learned from.  A fold's audit lists the
+    situations of its test examples under their source (AGG when
+    aggregated); biased mode first lists, per source, the fold's test
+    situations with a view there.
     """
     if mode not in MODES:
         raise UsageError(f"unknown evaluation mode {mode!r}")
     classes = list(dataset.classes)
-    plan = make_folds(dataset.situations(), folds)
+    test_sets = make_folds(dataset.situations(), folds)
     report = EvaluationReport(mode=mode, rows=[])
     report.meta["folds"] = str(folds)
+    views: list[str] = []
+    audit_key = "AGG"
 
     if mode == "biased":
         if biases is None:
             raise UsageError("biased mode needs per-source biases")
         constraints = list(constraints)
         held_out = aggregate(dataset).examples
+        views = dataset.sources()
 
         def learn(fold: int, test_ids: frozenset[int], train):
             result = biased_multisource_learn(
@@ -117,13 +117,6 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
                 biases, constraints, params)
             return result.theory, [f"fold {fold}: {w}"
                                    for w in result.warnings]
-
-        def audit(test_ids: frozenset[int], test: list[Interpretation]):
-            entry = {src: frozenset(s for s in test_ids
-                                    if dataset.get(src, s) is not None)
-                     for src in dataset.sources()}
-            entry["AGG"] = frozenset(e.situation for e in test)
-            return entry
 
         def learn_full() -> Theory:
             full = biased_multisource_learn(dataset, biases, constraints,
@@ -146,26 +139,26 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
         else:
             held_out = aggregate(dataset).examples
             bias = naive_bias(dataset.schema, naive_max_events)
-            audit_key = "AGG"
             report.meta["naive_max_events"] = str(naive_max_events)
 
         def learn(fold: int, test_ids: frozenset[int], train):
             return _guarded_theory(train, bias, params, classes, fold)
 
-        def audit(test_ids: frozenset[int], test: list[Interpretation]):
-            return {audit_key: test_ids}
-
         def learn_full() -> Theory:
             return learn_theory(held_out, bias, params, classes=classes)
 
     per_fold = []
-    for fold, test_set in enumerate(plan.test_sets):
+    for fold, test_set in enumerate(test_sets):
         test_ids = frozenset(test_set)
         train = [e for e in held_out if e.situation not in test_ids]
         test = [e for e in held_out if e.situation in test_ids]
         theory, warns = learn(fold, test_ids, train)
         per_fold.append(_fold_outcome(theory, classes, train, test))
-        report.fold_audit.append(audit(test_ids, test))
+        audit = {src: frozenset(s for s in test_ids
+                                if dataset.get(src, s) is not None)
+                 for src in views}
+        audit[audit_key] = frozenset(e.situation for e in test)
+        report.fold_audit.append(audit)
         report.warnings.extend(warns)
     _fill_rows(report, classes, per_fold, learn_full(), dataset.schema)
     return report

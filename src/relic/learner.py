@@ -1,6 +1,9 @@
 """Top-down rule induction per class: beam search under a DLAB bias with the
 accuracy heuristic, a fixed stop rule (fp = 0 and tp >= 1), and a covering
-loop; LearnerParams sets only the beam width and the clause budget.
+loop; LearnerParams sets only the beam width and the clause budget.  The
+beam search is the package's one clause scorer; train_accuracy scores a
+learned class theory.  tests/oracles.py::reference_learn_class is the plain
+search, with none of the shortcuts below, that this one is checked against.
 
 The search identifies a clause by the body text dlab.refine hands it with
 each child's selection and body: the sorted literal texts joined by ", "
@@ -44,24 +47,6 @@ def accuracy(tp: int, tn: int, fp: int, fn: int) -> float:
     if total <= 0:
         raise UsageError("accuracy undefined on an empty example set")
     return (tp + tn) / total
-
-
-@dataclass(frozen=True)
-class ClauseScore:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-    accuracy: float
-
-
-def score_clause(c: Clause, pos: Sequence[Interpretation],
-                 neg: Sequence[Interpretation]) -> ClauseScore:
-    tp = sum(1 for e in pos if covers(c, e.index))
-    fp = sum(1 for e in neg if covers(c, e.index))
-    tn = len(neg) - fp
-    fn = len(pos) - tp
-    return ClauseScore(tp, tn, fp, fn, accuracy(tp, tn, fp, fn))
 
 
 @dataclass(frozen=True)

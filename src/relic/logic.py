@@ -89,14 +89,14 @@ def clause(label: str, body: Iterable[Literal] = ()) -> Clause:
     return Clause(Literal("class", (label,)), tuple(body))
 
 
-def body_key(c: Clause) -> tuple[str, ...]:
+def body_key(body: Iterable[Literal]) -> tuple[str, ...]:
     """Order-insensitive body fingerprint (multiset of literal texts)."""
-    return tuple(sorted(str(b) for b in c.body))
+    return tuple(sorted(str(b) for b in body))
 
 
 def canonical_text(c: Clause) -> str:
     """Deterministic text used for dedup and tie-breaking."""
-    return f"{c.head} :- " + ", ".join(body_key(c))
+    return f"{c.head} :- " + ", ".join(body_key(c.body))
 
 
 def apply_substitution(literal: Literal, subst: Mapping[str, Term]) -> Literal:

@@ -13,7 +13,7 @@ restrictions (Dataset.templates), with its refine cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -23,7 +23,7 @@ from .dlab import (MAX_NESTING, ChoiceSpec, DlabTemplate, LiteralSpec,
 from .errors import InternalError, ParseError, UsageError
 from .learner import LearnerParams, Theory, learn_class, learn_theory
 from .logic import (Clause, Literal, PredicateSchema, Term, body_key,
-                    is_variable, standardize_apart)
+                    clause, is_variable, standardize_apart)
 
 GLOBAL_RELATIONS = ("suc", "suci")
 
@@ -419,29 +419,23 @@ def biased_multisource_learn(dataset: Dataset,
     classes = sorted({i.label for i in dataset.interpretations})
     bottoms: dict[str, tuple[BottomClause, ...]] = {}
     class_biases: dict[str, DlabTemplate] = {}
-    s1, s2 = sources
     for label in classes:
-        h1s = list(mono[s1].clauses_for(label))
-        h2s = list(mono[s2].clauses_for(label))
-        if not h1s and not h2s:
+        hs = [list(mono[s].clauses_for(label)) for s in sources]
+        if not any(hs):
             warnings.append(f"class {label}: no monosource rules on either "
                             "source; skipped")
             continue
-        if not h1s:
-            warnings.append(f"class {label}: empty theory on {s1}; pairing "
-                            "with the empty hypothesis")
-            h1s = [Clause(Literal("class", (label,)), ())]
-        if not h2s:
-            warnings.append(f"class {label}: empty theory on {s2}; pairing "
-                            "with the empty hypothesis")
-            h2s = [Clause(Literal("class", (label,)), ())]
+        for s, h in zip(sources, hs):
+            if not h:
+                warnings.append(f"class {label}: empty theory on {s}; "
+                                "pairing with the empty hypothesis")
+                h.append(clause(label))
 
         found: dict[tuple[str, ...], BottomClause] = {}
-        for h1 in h1s:
-            for h2 in h2s:
-                for bt in bottom_clauses_for_pair(
-                        h1, h2, dataset.schema, (s1, s2), constraints):
-                    found.setdefault(body_key(bt.clause), bt)
+        for h1, h2 in product(*hs):
+            for bt in bottom_clauses_for_pair(
+                    h1, h2, dataset.schema, tuple(sources), constraints):
+                found.setdefault(body_key(bt.clause.body), bt)
         bottoms[label] = tuple(found.values())
         blocks = tuple(bt.block for bt in bottoms[label])
         bias = dataset.templates.get(blocks)

@@ -1,16 +1,17 @@
 """Brute-force reference implementations the fast code is checked against.
 
-These enumerate substitutions exhaustively, or read text with plain string
-methods, and never share code with the package's matching routines or its
-fact-file scanner.
+These enumerate substitutions exhaustively, read text with plain string
+methods, or search the plain way, and never share code with the package's
+matching routines, its fact-file scanner or the learner's shortcuts.
 """
 
 from itertools import product
 from string import ascii_letters, ascii_lowercase, digits
 
 from relic.data import Event, Interpretation
+from relic.dlab import parse_dlab, refine, start_selection, template_text
 from relic.errors import ParseError
-from relic.logic import Clause, Literal, is_variable
+from relic.logic import Clause, Literal, clause, is_variable
 
 
 def brute_covers(c: Clause, facts) -> bool:
@@ -79,6 +80,58 @@ def _consistent(body, combo):
             elif a != g:
                 return None
     return theta
+
+
+def reference_learn_class(label, examples, bias, params, covers):
+    """learn_class the plain way, as (clauses, nodes, complete).
+
+    The bias is compiled afresh, and every child is tested with
+    covers(clause, example) on every remaining positive and every negative.
+    Children with equal body text (sorted literal texts) are pooled, the
+    first one giving the clause; each round expands the beam's selections
+    not expanded before in the search, stops at the candidates with fp = 0
+    and tp >= 1 (best accuracy, then fewest literals, then text), and
+    otherwise keeps the beam_width best candidates covering a positive (by
+    accuracy, then text).  The covering loop accepts one clause per search.
+    """
+    t = parse_dlab(template_text(bias))
+    pos = [e for e in examples if e.label == label]
+    neg = [e for e in examples if e.label != label]
+    remaining, accepted, nodes = list(range(len(pos))), [], 0
+    while remaining and len(accepted) < params.max_clauses_per_class:
+        beam, expanded, best = [[start_selection(t)]], set(), None
+        while beam and best is None:
+            pooled = {}
+            for sel in (sel for sels in beam for sel in sels):
+                if sel in expanded:
+                    continue
+                expanded.add(sel)
+                children = refine(t, sel)
+                nodes += len(children)
+                for child in children:
+                    text = ", ".join(sorted(str(b) for b in child.body))
+                    sels, _ = pooled.setdefault(text, ([], child.body))
+                    if child.sel not in sels:
+                        sels.append(child.sel)
+            scored = []
+            for text, (sels, body) in pooled.items():
+                c = clause(label, body)
+                tp = [i for i in remaining if covers(c, pos[i])]
+                fp = sum(1 for e in neg if covers(c, e))
+                acc = ((len(tp) + len(neg) - fp)
+                       / (len(remaining) + len(neg)))
+                scored.append((-acc, len(body), text, sels, c, tp, fp))
+            done = [s for s in scored if s[6] == 0 and s[5]]
+            if done:
+                best = min(done, key=lambda s: s[:3])
+            live = sorted((s for s in scored if s[5]),
+                          key=lambda s: (s[0], s[2]))
+            beam = [s[3] for s in live[:params.beam_width]]
+        if best is None:
+            break
+        accepted.append(best[4])
+        remaining = [i for i in remaining if i not in best[5]]
+    return tuple(accepted), nodes, not remaining
 
 
 def brute_parse_model_file(text):

@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from relic.cli import main
+from relic import evaluate, synth
+from relic.cli import build_parser, main
 from relic.dlab import MAX_NESTING, template_text
 from relic.synth import monosource_biases
 
@@ -30,6 +32,21 @@ def test_synth_writes_parseable_files(fact_dir):
     abp = (fact_dir / "ABP.facts").read_text()
     assert len(parse_model_file(ecg)) == 14
     assert len(parse_model_file(abp)) == 14
+
+
+def test_mode_choices_come_from_their_modules():
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def choices(command, dest):
+        return next(tuple(a.choices) for a in commands[command]._actions
+                    if a.dest == dest)
+
+    for command in ("learn", "learn-naive", "learn-biased", "crossval"):
+        assert choices(command, "data_mode") == synth.MODES
+    assert choices("synth", "mode") == synth.MODES
+    assert choices("crossval", "cv_mode") == evaluate.MODES
 
 
 def test_count_space(bias_dir, capsys):

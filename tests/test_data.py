@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from oracles import brute_parse_model_file
 
 from relic import (GeneratorConfig, ParseError, SymbolizationConfig,
-                   UsageError, check_consistency, generate_dataset,
-                   parse_model_file, write_model_file)
-from relic.data import SUC_WINDOW, Event, Interpretation, saturate
+                   UsageError, aggregate, generate_dataset, parse_model_file,
+                   write_model_file)
+from relic.data import SUC_WINDOW, Dataset, Event, Interpretation, saturate
 from relic.logic import Literal, lit
 from relic.synth import cardiac_schema
 
@@ -368,26 +368,32 @@ class TestSaturate:
 
 
 class TestConsistency:
+    """Two views of one situation agree iff their labels agree; aggregation
+    drops a situation whose views disagree as inconsistent."""
+
+    @staticmethod
+    def _dropped(left, right):
+        # a consistent second situation, so that one always survives
+        spare = [_interp([], situation=99, source=v.source)
+                 for v in (left, right)]
+        views = (left, right, *spare)
+        return aggregate(Dataset(views, SCHEMA, tuple(sorted(
+            {v.label for v in views})))).dropped
+
     def test_consistent(self):
         a = _interp([], label="doublet", situation=3)
         b = _interp([], label="doublet", situation=3, source="ABP")
-        assert check_consistency(a, b)
+        assert self._dropped(a, b) == []
 
     def test_inconsistent(self):
         a = _interp([], label="doublet", situation=3)
         b = _interp([], label="sr", situation=3, source="ABP")
-        assert not check_consistency(a, b)
+        assert self._dropped(a, b) == [(3, "inconsistent")]
 
     def test_mislabelled_pair_is_inconsistent(self):
         left = parse_model_file(ECG_BLOCK)[0]
         right = parse_model_file(ABP_BLOCK)[0]
-        assert not check_consistency(left, right)
-
-    def test_situation_mismatch(self):
-        a = _interp([], situation=3)
-        b = _interp([], situation=4, source="ABP")
-        with pytest.raises(UsageError):
-            check_consistency(a, b)
+        assert self._dropped(left, right) == [(3, "inconsistent")]
 
 
 class TestSymbolizationConfig:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from relic import (GeneratorConfig, InterleavingConstraint, UsageError,
@@ -16,17 +18,15 @@ SCHEMA = cardiac_schema("full")
 
 class TestFolds:
     def test_loo(self):
-        plan = make_folds([3, 1, 2], 3)
-        assert plan.test_sets == ((1,), (2,), (3,))
+        assert make_folds([3, 1, 2], 3) == ((1,), (2,), (3,))
 
     def test_remainder_to_earliest(self):
-        plan = make_folds(list(range(7)), 3)
-        assert [len(s) for s in plan.test_sets] == [3, 2, 2]
-        assert plan.test_sets[0] == (0, 1, 2)
+        test_sets = make_folds(list(range(7)), 3)
+        assert [len(s) for s in test_sets] == [3, 2, 2]
+        assert test_sets[0] == (0, 1, 2)
 
     def test_partition(self):
-        plan = make_folds(list(range(10)), 4)
-        flat = [s for fold in plan.test_sets for s in fold]
+        flat = [s for fold in make_folds(list(range(10)), 4) for s in fold]
         assert sorted(flat) == list(range(10))
 
     def test_single_fold_rejected(self):
@@ -128,6 +128,38 @@ class TestCrossValidate:
 @pytest.fixture(scope="module")
 def small():
     return generate_dataset(GeneratorConfig(seed=2, per_class=2))
+
+
+class TestFoldAudit:
+    """A fold's audit lists only the situations its held-out examples
+    came from, whichever mode held them out."""
+
+    def test_naive_agrees_with_biased_on_a_dropped_situation(self, small):
+        # relabel situation 0's ABP view: aggregation drops 0 as
+        # inconsistent, so no mode holds it out on AGG
+        views = tuple(replace(i, label="vt" if i.label != "vt" else "sr")
+                      if (i.source, i.situation) == ("ABP", 0) else i
+                      for i in small.interpretations)
+        ds = Dataset(views, small.schema, small.classes)
+        naive = cross_validate(ds, "naive", 2, naive_max_events=2)
+        biased = cross_validate(ds, "biased", 2,
+                                biases=monosource_biases("full"))
+        assert 0 not in naive.fold_audit[0]["AGG"]
+        assert [a["AGG"] for a in naive.fold_audit] == \
+            [a["AGG"] for a in biased.fold_audit]
+        assert 0 in biased.fold_audit[0]["ECG"]
+
+    def test_mono_omits_a_missing_view(self, small):
+        ds = Dataset(tuple(i for i in small.interpretations
+                           if (i.source, i.situation) != ("ECG", 0)),
+                     small.schema, small.classes)
+        report = cross_validate(ds, "mono", 2, source="ECG",
+                                biases=monosource_biases("full"))
+        ecg = {i.situation for i in ds.by_source("ECG")}
+        assert [set(a) for a in report.fold_audit] == [{"ECG"}] * 2
+        assert report.fold_audit[0]["ECG"] == \
+            frozenset(make_folds(ds.situations(), 2)[0]) & ecg
+        assert 0 not in report.fold_audit[0]["ECG"]
 
 
 class TestSmallPipelineCrossval:

@@ -1,12 +1,21 @@
-import pytest
+import random
+from functools import cache
 
-from relic import UsageError
+import pytest
+from conftest import random_grammar, random_ground_facts
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from oracles import brute_covers, reference_learn_class
+
+from relic import (GeneratorConfig, UsageError, generate_dataset,
+                   monosource_biases, naive_bias)
 from relic.data import Interpretation
 from relic.dlab import (choice, compile_template, inline, literal, refine,
                         start_selection)
+from relic.errors import BiasError
 from relic.learner import (LearnerParams, accuracy, learn_class, learn_theory,
-                           score_clause, train_accuracy)
-from relic.logic import clause, covers, lit
+                           train_accuracy)
+from relic.logic import FactIndex, clause, covers, lit
 
 
 def _example(label, situation, facts):
@@ -44,18 +53,20 @@ class TestAccuracy:
 
 
 class TestScoreClause:
-    POS = [_beat_example("x", i, ("abnormal", "abnormal")) for i in range(3)]
-    NEG = [_beat_example("y", 10 + i, ("normal", "normal")) for i in range(3)]
+    """One clause scored as a class theory by train_accuracy."""
+
+    EXAMPLES = ([_beat_example("x", i, ("abnormal", "abnormal"))
+                 for i in range(3)]
+                + [_beat_example("y", 10 + i, ("normal", "normal"))
+                   for i in range(3)])
 
     def test_perfect_clause(self):
         c = clause("x", (lit("qrs", "A", "abnormal"),))
-        s = score_clause(c, self.POS, self.NEG)
-        assert (s.tp, s.fp, s.accuracy) == (3, 0, 1.0)
+        assert train_accuracy((c,), "x", self.EXAMPLES) == 1.0
 
     def test_empty_body_covers_everything(self):
-        s = score_clause(clause("x", ()), self.POS, self.NEG)
-        assert (s.tp, s.fp) == (3, 3)
-        assert s.accuracy == len(self.POS) / (len(self.POS) + len(self.NEG))
+        # tp = fp = 3: every positive and no negative is right
+        assert train_accuracy((clause("x", ()),), "x", self.EXAMPLES) == 0.5
 
     def test_partial_coverage_counts(self):
         pos = [_beat_example("x", 0, ("abnormal", "normal")),
@@ -65,9 +76,8 @@ class TestScoreClause:
                _beat_example("y", 4, ("normal", "normal")),
                _beat_example("y", 5, ("normal", "normal"))]
         c = clause("x", (lit("qrs", "A", "abnormal"),))
-        s = score_clause(c, pos, neg)
-        assert (s.tp, s.tn, s.fp, s.fn) == (2, 2, 1, 1)
-        assert s.accuracy == pytest.approx(4 / 6)
+        # tp = tn = 2, fp = fn = 1
+        assert train_accuracy((c,), "x", pos + neg) == pytest.approx(4 / 6)
 
 
 class TestLearnClass:
@@ -79,9 +89,7 @@ class TestLearnClass:
         result = learn_class("x", examples, TINY_BIAS)
         assert result.complete
         assert len(result.clauses) == 1
-        s = score_clause(result.clauses[0],
-                         examples[:4], examples[4:])
-        assert s.fp == 0 and s.tp == 4
+        assert train_accuracy(result.clauses, "x", examples) == 1.0
 
     def test_indistinguishable_data_flags_incomplete(self):
         examples = ([_beat_example("x", i, ("normal", "normal"))
@@ -230,10 +238,84 @@ class TestCoverageMemo:
         from relic.logic import body_key
 
         c = clause("x", (lit("qrs", "A", "abnormal"),))
-        body = ", ".join(body_key(c))
+        body = ", ".join(body_key(c.body))
         hit = _beat_example("x", 0, ("abnormal",))
         miss = _beat_example("y", 1, ("normal",))
         assert _coverage(c, body, [hit, miss], range(2)) == (0,)
         assert _coverage(c, body, [miss, hit], range(2)) == (1,)
         assert hit.coverage_memo == {body: True}
         assert miss.coverage_memo == {body: False}
+
+
+def _learned_class(label, examples, bias, params):
+    result = learn_class(label, examples, bias, params)
+    return result.clauses, result.stats.nodes, result.complete
+
+
+def _fresh_index_covers():
+    """covers on a FactIndex built afresh for each example."""
+    indexes = {}
+
+    def test(c, e):
+        if id(e) not in indexes:
+            indexes[id(e)] = FactIndex(e.facts)
+        return covers(c, indexes[id(e)])
+
+    return test
+
+
+@cache
+def _cardiac(seed, per_class):
+    ds = generate_dataset(GeneratorConfig(seed=seed, per_class=per_class))
+    return ds, {"naive": naive_bias(ds.schema, 2), **monosource_biases("full")}
+
+
+REFERENCE = settings(deadline=None, derandomize=True, database=None)
+
+
+class TestReferenceLearner:
+    """learn_class and its shortcuts (the coverage memo, additive children
+    tested on their parent's covers, the template's refine cache) learn
+    what the plain search of oracles.reference_learn_class learns."""
+
+    @settings(REFERENCE, max_examples=400)
+    @given(st.sampled_from((3, 4)), st.integers(0, 2**32 - 1))
+    # each pinned case tells a learner testing every child on its parent's
+    # covers apart from the reference
+    @example(3, 817)
+    @example(4, 157)
+    @example(4, 565)
+    def test_random_grammars_and_facts(self, depth, seed):
+        rng = random.Random(seed)
+        try:
+            bias = compile_template(random_grammar(rng, depth))
+        except BiasError:
+            assume(False)
+        n = rng.randint(3, 8) if depth == 3 else rng.randint(6, 14)
+        examples = [_example("x" if k == 0 else rng.choice("xy"), k,
+                             random_ground_facts(rng)) for k in range(n)]
+        params = LearnerParams(beam_width=rng.randint(1, 2))
+        assert _learned_class("x", examples, bias, params) == \
+            reference_learn_class("x", examples, bias, params,
+                                  lambda c, e: brute_covers(c, e.facts))
+
+    @settings(REFERENCE, max_examples=80)
+    @given(st.integers(0, 5), st.integers(1, 2),
+           st.sampled_from(("ECG", "ABP")),
+           st.sampled_from(("authored", "naive")), st.integers(1, 4),
+           st.integers(0, 6))
+    # the first case tells a learner that does not prefer the shorter of
+    # two equally accurate acceptable clauses apart from the reference,
+    # the second one whose beam does not break accuracy ties by text
+    @example(0, 1, "ECG", "authored", 1, 0)
+    @example(0, 1, "ECG", "authored", 2, 1)
+    def test_cardiac_data(self, seed, per_class, source, bias_kind, width,
+                          class_no):
+        ds, biases = _cardiac(seed, per_class)
+        bias = biases["naive" if bias_kind == "naive" else source]
+        label = ds.classes[class_no]
+        examples = ds.by_source(source)
+        params = LearnerParams(beam_width=width)
+        assert _learned_class(label, examples, bias, params) == \
+            reference_learn_class(label, examples, bias, params,
+                                  _fresh_index_covers())

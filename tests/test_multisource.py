@@ -159,7 +159,7 @@ class TestBottomClauses:
     def test_empty_side_returns_other(self):
         empty = clause("x", ())
         [bt] = bottom_clauses_for_pair(H1, empty, SCHEMA, ("ECG", "ABP"))
-        assert body_key(bt.clause) == body_key(H1)
+        assert body_key(bt.clause.body) == body_key(H1.body)
 
     def test_more_specific_than_both(self):
         for bt in bottom_clauses_for_pair(H1, H2, SCHEMA, ("ECG", "ABP")):
