@@ -17,8 +17,8 @@ from .data import (Dataset, SymbolizationConfig, parse_model_file,
 from .dlab import count_space, parse_dlab, template_text
 from .errors import BiasError, ParseError, RelicError, UsageError
 from .evaluate import MODES as EVAL_MODES
-from .evaluate import (ClassReport, EvaluationReport, cross_validate,
-                       emit_report)
+from .evaluate import (FORMATS, ClassReport, EvaluationReport,
+                       cross_validate, emit_report)
 from .learner import LearnerParams, learn_theory
 from .multisource import (aggregate, biased_multisource_learn, naive_bias,
                           parse_constraints)
@@ -268,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constraints")
     p.add_argument("--max-events", type=int, default=4,
                    help="naive bias depth (naive mode)")
-    p.add_argument("--format", default="markdown",
-                   choices=["csv", "markdown"])
+    p.add_argument("--format", default="markdown", choices=FORMATS)
     p.add_argument("--json", help="also save the report as JSON")
     common_learning(p)
     p.set_defaults(func=cmd_crossval)
@@ -279,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count_space)
 
     p = sub.add_parser("report", help="render a saved JSON report")
-    p.add_argument("--format", default="markdown",
-                   choices=["csv", "markdown"])
+    p.add_argument("--format", default="markdown", choices=FORMATS)
     p.add_argument("json", help="report JSON written by crossval")
     p.set_defaults(func=cmd_report)
     return top

@@ -115,11 +115,9 @@ Node = Union[ChoiceNode, InlineNode, TerminalNode]
 class DlabTemplate:
     root: int
     nodes: tuple[Node, ...]
-    # memos that live and die with the template: minimal completions per
-    # node, refine's sorted children per selection, and one shared object
-    # per literal any induced body holds
-    _completions: dict[int, tuple] = field(init=False, default_factory=dict,
-                                           repr=False)
+    # memos that live and die with the template: refine's sorted children
+    # per selection, and one shared object per literal any induced body
+    # holds
     _children: dict[Selection, tuple[Refinement, ...]] = field(
         init=False, default_factory=dict, repr=False)
     _literals: dict[Literal, Literal] = field(init=False, default_factory=dict,
@@ -502,10 +500,7 @@ def member(c: Clause, t: DlabTemplate) -> bool:
 
 def _min_completions(t: DlabTemplate, nid: int) -> tuple[dict[int, tuple[int, ...]], ...]:
     """All ways to satisfy the subtree at nid with the fewest chosen children."""
-    cached = t._completions.get(nid)
-    if cached is None:
-        cached = t._completions[nid] = tuple(_enum_picks(t, nid, minimal=True))
-    return cached
+    return tuple(_enum_picks(t, nid, minimal=True))
 
 
 def _reached_nodes(t: DlabTemplate,

@@ -23,6 +23,7 @@ from .multisource import (InterleavingConstraint, aggregate,
                           biased_multisource_learn, naive_bias)
 
 MODES = ("mono", "naive", "biased")
+FORMATS = ("csv", "markdown")  # what emit_report writes
 
 
 def make_folds(situations: Sequence[int],
@@ -209,7 +210,7 @@ _COLUMNS = ("class", "nodes", "time_ms", "tracc", "acc", "comp")
 
 def emit_report(report: EvaluationReport, fmt: str = "markdown") -> str:
     """One row per class: Nodes, TimeMs, TrAcc, Acc, Comp."""
-    if fmt not in ("csv", "markdown"):
+    if fmt not in FORMATS:
         raise UsageError(f"unknown report format {fmt!r}")
     rows = [(r.label, str(r.nodes), f"{r.time_ms:.0f}", f"{r.tracc:.3f}",
              f"{r.acc:.3f}", r.comp) for r in report.rows]

@@ -130,39 +130,36 @@ def parse_constraints(text: str) -> list[InterleavingConstraint]:
 
 def ordered_events(h: Clause, schema: PredicateSchema) -> list[tuple[Term, Literal]]:
     """Event variables of h (first arguments of its event literals), each
-    with its first event literal, sorted by the total order h's suc/suci
-    chain induces; raises if the chain does not order every pair."""
+    with its first event literal, earliest first.  The order is peeled from
+    h's direct suc/suci links between events: the last event is the one no
+    other comes after, then the last of the rest, and so on.  Raises when
+    no event or more than one can be taken, as the links then do not order
+    the events totally: two are unordered, or links form a cycle or
+    self-loop."""
     ev_lit: dict[Term, Literal] = {}
     for b in h.body:
         if schema.is_event(b.pred) and b.args and is_variable(b.args[0]):
             ev_lit.setdefault(b.args[0], b)
-    ev_vars = list(ev_lit)
-    if len(ev_vars) <= 1:
-        return [(v, ev_lit[v]) for v in ev_vars]
-
-    after: dict[Term, set[Term]] = {v: set() for v in ev_vars}
+    later: dict[Term, set[Term]] = {v: set() for v in ev_lit}
     for b in h.body:
         if b.pred in GLOBAL_RELATIONS and len(b.args) == 2:
             x, y = b.args  # x occurs after y
-            if x in after and y in after:
-                after[x].add(y)
-    changed = True
-    while changed:  # transitive closure
-        changed = False
-        for v in ev_vars:
-            extra = set()
-            for w in after[v]:
-                extra |= after[w]
-            if not extra <= after[v]:
-                after[v] |= extra
-                changed = True
-    for i, a in enumerate(ev_vars):
-        for b2 in ev_vars[i + 1:]:
-            if a not in after[b2] and b2 not in after[a]:
-                raise UsageError(
-                    f"event order not total in hypothesis: {h} ({a} vs {b2})")
-    ranked = sorted(ev_vars, key=lambda v: (len(after[v]), v))
-    return [(v, ev_lit[v]) for v in ranked]
+            if x in later and y in later:
+                later[y].add(x)
+
+    left = dict.fromkeys(ev_lit)  # the events not yet taken, in body order
+    peeled: list[Term] = []
+    while left:
+        last = [v for v in left if later[v].isdisjoint(left)]
+        if len(last) != 1:
+            # two candidates, or in a cycle an event and one after it
+            a, b = last[:2] if last else next(
+                (v, w) for v in left for w in left if w in later[v])
+            raise UsageError(
+                f"event order not total in hypothesis: {h} ({a} vs {b})")
+        peeled.append(last[0])
+        del left[last[0]]
+    return [(v, ev_lit[v]) for v in reversed(peeled)]
 
 
 def interleavings(h1: Clause, h2: Clause, schema: PredicateSchema,
@@ -173,24 +170,15 @@ def interleavings(h1: Clause, h2: Clause, schema: PredicateSchema,
     if shared:
         raise UsageError(f"hypotheses share variables {sorted(shared)}; "
                          "standardize apart first")
-    ev1 = ordered_events(h1, schema)
-    ev2 = ordered_events(h2, schema)
-    n, p = len(ev1), len(ev2)
+    first, second = ([MergeItem(s, var, ev)
+                      for var, ev in ordered_events(h, schema)]
+                     for h, s in zip((h1, h2), sources))
+    n, p = len(first), len(second)
     merges: list[Merge] = []
     for slots in combinations(range(n + p), n):
-        slotset = set(slots)
-        items: list[MergeItem] = []
-        i1 = i2 = 0
-        for pos in range(n + p):
-            if pos in slotset:
-                var, ev = ev1[i1]
-                items.append(MergeItem(sources[0], var, ev))
-                i1 += 1
-            else:
-                var, ev = ev2[i2]
-                items.append(MergeItem(sources[1], var, ev))
-                i2 += 1
-        merges.append(tuple(items))
+        it1, it2 = iter(first), iter(second)
+        merges.append(tuple(next(it1) if pos in slots else next(it2)
+                            for pos in range(n + p)))
     if len(merges) != comb(n + p, n):
         raise InternalError("interleaving count mismatch")
     return merges
@@ -241,38 +229,30 @@ def make_bottom_clause(h1: Clause, h2: Clause, merge: Merge,
     event is an optional block holding its connectors, its options (each
     optional) and the next event's block."""
     pos_of = {it.var: i for i, it in enumerate(merge)}
-    body_pool = list(h1.body) + list(h2.body)
-
-    events = {it.event for it in merge}
     connectors: list[list[Literal]] = [[] for _ in merge]
     options: list[list[Literal]] = [[] for _ in merge]
     leftovers: list[Literal] = []
-    used: set[int] = set()
+    for lit in (*h1.body, *h2.body):
+        if schema.is_event(lit.pred):
+            continue  # the merge places each event's first literal
+        anchors = [pos_of[a] for a in lit.args if a in pos_of]
+        if not anchors:
+            leftovers.append(lit)
+        elif (lit.pred in GLOBAL_RELATIONS and len(lit.args) == 2
+              and len(anchors) == 2 and anchors[0] == anchors[1] + 1):
+            # neighbours (later, earlier): same-source, as h1 and h2
+            # share no variables
+            connectors[anchors[0]].append(lit)
+        else:
+            options[max(anchors)].append(lit)
 
     for i in range(1, len(merge)):
         prev, cur = merge[i - 1], merge[i]
         if prev.source != cur.source:
             connectors[i].append(Literal("suci", (cur.var, prev.var)))
-        else:
-            for j, lit in enumerate(body_pool):
-                if (j not in used and lit.pred in GLOBAL_RELATIONS
-                        and lit.args == (cur.var, prev.var)):
-                    connectors[i].append(lit)
-                    used.add(j)
-            if not connectors[i]:
-                raise InternalError(
-                    f"no ordering literal between {prev.var} and {cur.var}")
-
-    for j, lit in enumerate(body_pool):
-        if j in used or lit in events:
-            continue
-        if schema.is_event(lit.pred):
-            continue  # event literal already placed via the merge
-        anchors = [pos_of[a] for a in lit.args if a in pos_of]
-        if anchors:
-            options[max(anchors)].append(lit)
-        else:
-            leftovers.append(lit)
+        elif not connectors[i]:
+            raise InternalError(
+                f"no ordering literal between {prev.var} and {cur.var}")
 
     body: list[Literal] = []
     for it, conn, opts in zip(merge, connectors, options):

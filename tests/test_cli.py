@@ -47,6 +47,8 @@ def test_mode_choices_come_from_their_modules():
         assert choices(command, "data_mode") == synth.MODES
     assert choices("synth", "mode") == synth.MODES
     assert choices("crossval", "cv_mode") == evaluate.MODES
+    for command in ("crossval", "report"):
+        assert choices(command, "format") == evaluate.FORMATS
 
 
 def test_count_space(bias_dir, capsys):

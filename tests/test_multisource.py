@@ -1,3 +1,4 @@
+import hashlib
 from math import comb
 
 import pytest
@@ -72,6 +73,18 @@ class TestInterleavings:
                          lit("suc", "C", "A")))
         with pytest.raises(UsageError, match="not total"):
             ordered_events(h, SCHEMA)
+
+    @pytest.mark.parametrize("body", [
+        (lit("qrs", "A", "normal"), lit("qrs", "B", "normal"),
+         lit("suc", "B", "A"), lit("suc", "A", "B")),
+        (lit("qrs", "A", "normal"), lit("suc", "A", "A")),
+    ], ids=["2-cycle", "self-loop"])
+    def test_cyclic_order_rejected(self, body):
+        h = clause("x", body)
+        with pytest.raises(UsageError, match="not total"):
+            ordered_events(h, SCHEMA)
+        with pytest.raises(UsageError, match="not total"):
+            bottom_clauses_for_pair(h, H2, SCHEMA, ("ECG", "ABP"))
 
 
 def _event_chain(preds, var):
@@ -414,6 +427,46 @@ class TestInterleavingProperties:
         assert second + first in kept
 
 
+@st.composite
+def linked_chains(draw):
+    """Events A0..An-1 of a chain of 0-6, each tied to the one before by
+    suc or suci, with extra suc(later, earlier) literals between events
+    that are not neighbours; the body shuffled.  Returns the chain's
+    variables, its neighbour links and the body."""
+    n = draw(st.integers(0, 6))
+    names = [f"A{i}" for i in range(n)]
+    events = [lit(draw(st.sampled_from(EVENT_PREDS["ECG"])), v, "normal")
+              for v in names]
+    links = [lit(draw(st.sampled_from(("suc", "suci"))), names[i],
+                 names[i - 1]) for i in range(1, n)]
+    far = [(j, i) for j in range(n) for i in range(j - 1)]
+    picks = draw(st.lists(st.sampled_from(far), max_size=4)) if far else []
+    extra = [lit("suc", names[j], names[i]) for j, i in picks]
+    body = draw(st.permutations(events + links + extra))
+    return names, links, body
+
+
+class TestOrderedEventsProperties:
+    @PROPERTY
+    @given(linked_chains())
+    def test_order_is_peeled_from_the_links(self, case):
+        # the chain's order comes back whatever the body order; a link
+        # against it (or a self-loop) makes a cycle, and a missing
+        # neighbour link leaves two events unordered: both raise
+        names, links, body = case
+        h = clause("x", body)
+        assert [v for v, _ in ordered_events(h, SCHEMA)] == names
+        for j, earlier in enumerate(names):
+            for later in names[j:]:
+                back = clause("x", (*body, lit("suc", earlier, later)))
+                with pytest.raises(UsageError, match="not total"):
+                    ordered_events(back, SCHEMA)
+        for link in links:
+            cut = clause("x", [b for b in body if b != link])
+            with pytest.raises(UsageError, match="not total"):
+                ordered_events(cut, SCHEMA)
+
+
 class TestConstraintFileProperties:
     @PROPERTY
     @given(constraint_files())
@@ -599,6 +652,106 @@ class TestPipelineArtifacts:
             neg = [e for e in full_run.aggregated if e.label != label]
             for c in result.clauses:
                 assert not any(covers(c, e.index) for e in neg)
+
+
+# SHA-256 of template_text of every synthesized class bias and of its
+# bottom clauses' texts, one a line in bias order, per fixture run and
+# class; any change to the interleavings, the bottom clauses or their
+# DLAB blocks shows here, where the fingerprints see only the theories
+SYNTHESIZED = {
+    ("full", "af"): ("db00d7f9b24396f9b035ca2bb398c0f2"
+                     "7290d21e0723d7d684881c503c9d172b",
+                     "34fdfcf7fd5f3bc4fea7c7e965fee021"
+                     "0bd9f87828f7007f075bdf97fbeb1399"),
+    ("full", "bige"): ("ca004d2ad86b99eac71488371333489c"
+                       "5dd6bea40e8aea2e8076715b4c283224",
+                       "bae63d89b515c9b6657843bcc9153d70"
+                       "e06af5ed5939abbf915d7f9514d30d20"),
+    ("full", "doublet"): ("dad234334fd88e37407e996b189a8eec"
+                          "230b219a43fcf45d0bfa22f8caaf5ddb",
+                          "3730c406326dc73d60fd10f8c19223dc"
+                          "24656e0dff2e572e77f016cc6330a6b6"),
+    ("full", "sr"): ("95c7c480e4d6110c6e5d35423c149125"
+                     "adbd5be48f8fa79164eb88dea14be50e",
+                     "f2a66764fcf3c0cc40f1837904df4310"
+                     "0f36b2326f381f64e5430e47e996fb5b"),
+    ("full", "svt"): ("047236f417b0c31197433aa51671cc12"
+                      "a32bec5cb622c00638baa95225a446fd",
+                      "65fba6c53855bdc5c30e15b38fe21626"
+                      "a327f3231adc0dd83d6f8841363b7fa6"),
+    ("full", "ves"): ("76cf9bbc9a24e187ffb676495117d0d0"
+                      "3cffd85dc0be13eff121e5510dee964f",
+                      "f9205850ff7f80ef84d3a25ba240473f"
+                      "7fefde3646dca5f4560d89de8a678a98"),
+    ("full", "vt"): ("f5f26741ba48fd9f0a4997f1c4695eb9"
+                     "c2395511ce36d3533529e21b6386fbb9",
+                     "40fa3ca295f5e37555c07bf6b1b27e01"
+                     "76f82e7bb0eedd48a3c3f8301e532443"),
+    ("split", "af"): ("e5dc5dd8c12b1194cf4646b05daf8b11"
+                      "c08a394b204aa1512bded93a69b7933b",
+                      "204c06b4a4a5dbfda1d7f021d21c2d3f"
+                      "72366f0254650f2ff9a7abfdda28926c"),
+    ("split", "bige"): ("acb12ef335456f95f0794dd3f08f0321"
+                        "93153186844c67bdf5d580daeaad33e6",
+                        "793724b52efb06b089e4b63b6ca45b55"
+                        "a13b8b32f2c7ef5c0b50520ca9f1e7c2"),
+    ("split", "doublet"): ("80d76fca9f2c5ae1a9ef5c05020af9c8"
+                           "4e8ba4a08859b1fe376cf796cb875c89",
+                           "7b94ac3ef6441cd8faf5b23c121821de"
+                           "bac2533b52415191235bbdc50411d1dd"),
+    ("split", "sr"): ("d6cc66d1979d6b2897fb17269612cf3b"
+                      "0c28d8f395cc26e65f9d6e32b8c33f3f",
+                      "a0f81273324102ca412ae0bf3fcc12bd"
+                      "78533514f7c507d281acc65b5cdb5b01"),
+    ("split", "svt"): ("5b654e0e3c0c7ab7e030afce18581364"
+                       "7416c25f815bf8d98e7faea36b3c1eac",
+                       "69391994b661bb6f41ad9d3ab27b41f1"
+                       "1f24f2ca5b0f2f38a91584f74d2dba18"),
+    ("split", "ves"): ("e0fa24570bb8b50c08c6e2c44aba6cbf"
+                       "aab8e49cb6bb774acea1fc2cb0f0442e",
+                       "554b15d4d1546f1ae08d181328953369"
+                       "e84dceb4831b82b803f37cf160d7f363"),
+    ("redundant", "af"): ("d3141cb8009bbe4820943e247301a127"
+                          "c1797ef618a796f6279d46c8fb5a5e07",
+                          "476c7374e7b8baf2da725cfafc8f04e5"
+                          "997cf7368617c3535f62071f916a390b"),
+    ("redundant", "bige"): ("9da67e5c477d99c881c4498433cc34f7"
+                            "ac0a19f8eca322fd26c81d4b191b94bb",
+                            "7975426682674fcb562d37ac43b24f97"
+                            "265f6c50447b61d4415ec75e7aa90b56"),
+    ("redundant", "doublet"): ("7c2eabe1586a0a959491df7c9fa5e750"
+                               "2e3c8182244a5334c37d7670566d391b",
+                               "052539ad0114d0bd9d28311db29a8ab5"
+                               "3ed98655ff1f1b66402a97589fb976b9"),
+    ("redundant", "sr"): ("54dcfb09bd0c80cbd0030fcd216ee3d3"
+                          "f321d6ec1a7c9b5a7184e75d16c41a67",
+                          "ca2d5028f2b78f606e970cc92791d42e"
+                          "8f47d4a91f578a0bc440651c337aa5ac"),
+    ("redundant", "svt"): ("6a1f42c7ea62b68eabfcae50ac65caf2"
+                           "959940b6f5f817b337e2e35a53798688",
+                           "267f09d35101ef74c031a80a6723732e"
+                           "80b28771a4f095bc6acd96d161f2ecf9"),
+    ("redundant", "ves"): ("db573752afe42b72936debd0190e74d0"
+                           "f79e0682b350f8ab1f1ad8e7fa079995",
+                           "8e3f92702893a4ecc91b351f0d08c540"
+                           "061a473b8470b756a13d305ecb0283cf"),
+    ("redundant", "vt"): ("c2e0a4eb1658e71a115e16b4aeb83a72"
+                          "f52eb1e0c58c4aa517586632fe59d353",
+                          "7ad0243b4fc1b16865de80ad1820adf3"
+                          "5ac90b9ab360a97617ffd3a2c2dcfce4"),
+}
+
+
+def test_synthesized_biases_pinned(full_run, split_run, redundant_run):
+    got = {}
+    for mode, res in (("full", full_run), ("split", split_run[1]),
+                      ("redundant", redundant_run[1])):
+        for label, bias in res.class_biases.items():
+            bottoms = "\n".join(str(bt.clause) for bt in res.bottoms[label])
+            got[mode, label] = tuple(
+                hashlib.sha256(text.encode()).hexdigest()
+                for text in (template_text(bias), bottoms))
+    assert got == SYNTHESIZED
 
 
 # two situations per class, each one view per source
