@@ -27,8 +27,9 @@ from .synth import GeneratorConfig, cardiac_schema, generate_dataset
 
 
 def _load(path: str, parse):
-    """parse(text) of one user file; a file that cannot be read or does not
-    parse is the user's mistake, reported as a usage error."""
+    """parse(text) of one user file; a file that cannot be read, does not
+    parse or breaks a rule of what it holds is the user's mistake, reported
+    as a usage error naming the file."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -38,7 +39,7 @@ def _load(path: str, parse):
             f"cannot read {path}: not text ({exc.reason})") from exc
     try:
         return parse(text)
-    except (ParseError, BiasError) as exc:
+    except (ParseError, BiasError, UsageError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
 

@@ -23,11 +23,13 @@ amplitude categories, symbolized events) and read back with them.  The
 event records alone suffice: :func:`saturate` derives the rest, and
 saturating a file that already holds them adds nothing.
 
-Event ids restart in every block, so the same statements recur from block
-to block.  One :func:`parse_model_file` call builds each distinct fact,
-and each distinct event, once and hands the same object to every block
-that repeats it.  The table doing so belongs to that call alone: nothing
-is kept between calls.
+One grammar reads the format, and the same check that accepts a fact
+names why it rejects one.  Event ids restart in every block, so the same
+statements recur from block to block.  One :func:`parse_model_file` call
+checks each distinct statement once, builds each distinct fact, and each
+distinct event, once and hands the same object to every block that
+repeats it.  The table doing so belongs to that call alone: nothing is
+kept between calls.
 """
 
 from __future__ import annotations
@@ -44,20 +46,12 @@ if TYPE_CHECKING:
     from .dlab import ChoiceSpec, DlabTemplate
 
 _IDENT_RE = re.compile(r"^(\w+)_(\d+)_([A-Za-z][A-Za-z0-9]*)$")
-_FACT_RE = re.compile(r"^([a-z][A-Za-z0-9_]*)\s*(?:\(([^()]*)\))?$")
-_INT_RE = re.compile(r"^\d+$")
-_CONST_RE = re.compile(r"^[a-z0-9][A-Za-z0-9_]*$")
+_FACT_RE = re.compile(r"([a-z][A-Za-z0-9_]*)\s*(?:\(([^()]*)\))?")
+_ARG_RE = re.compile(r"[a-z0-9][A-Za-z0-9_]*|\d+")
 _COMMENT_RE = re.compile(r"%[^\n]*")
-# Whitespace and empty statements in front of a statement.
-_BLANKS = r"(?:\s*\.)*\s*"
-_BLANKS_RE = re.compile(_BLANKS)
-_ARG = r"(?:[a-z0-9][A-Za-z0-9_]*|\d+)"
-# One statement and its '.': a fact with ground arguments (begin(model) and
-# end(model) among them) or a block identifier.
-_STMT_RE = re.compile(
-    _BLANKS + r"(?P<stmt>(?P<pred>[a-z][A-Za-z0-9_]*)"
-    rf"(?:\s*\(\s*(?P<args>{_ARG}(?:\s*,\s*{_ARG})*)\s*\))?"
-    r"|\w+_\d+_[A-Za-z][A-Za-z0-9]*)\s*\.")
+# One statement, from its first to its last non-blank character, with the
+# blanks and empty statements in front of it and its terminating '.'.
+_STMT_RE = re.compile(r"[\s.]*([^\s.](?:[^.]*[^\s.])?)\s*\.")
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,118 +107,92 @@ def _line(text: str, pos: int) -> int:
     return text.count("\n", 0, pos) + 1
 
 
-def _rejection(stmt: str, state: str) -> str:
-    """Why a statement is not accepted where it stands: outside a block, as
-    a block's identifier, or among its facts."""
-    if stmt == "begin(model)":
-        return "begin(model) inside an open block"
-    if stmt == "end(model)":
-        return "end(model) without identified block"
-    if state == "outside":
-        return f"statement outside begin(model) block: {stmt!r}"
-    if state == "ident":
-        return (f"block identifier {stmt!r} does not match "
-                "<class>_<situation>_<source>")
-    m = _FACT_RE.match(stmt)
-    if not m:
+def _fact(stmt: str) -> tuple[str, tuple[str, ...]] | str:
+    """A fact statement's predicate and ground arguments, or why it is not
+    a fact."""
+    m = _FACT_RE.fullmatch(stmt)
+    if m is None:
         return f"malformed fact {stmt!r}"
-    argtext = m.group(2)
-    for a in [] if argtext is None else argtext.split(","):
-        a = a.strip()
+    pred, argtext = m.groups()
+    if argtext is None:
+        return pred, ()
+    args = tuple(a.strip() for a in argtext.split(","))
+    for a in args:
         if not a:
             return f"empty argument in {stmt!r}"
-        if not (_INT_RE.match(a) or _CONST_RE.match(a)):
+        if not _ARG_RE.fullmatch(a):
             return f"non-ground or malformed argument {a!r} in fact {stmt!r}"
-    raise InternalError(f"fact {stmt!r} is valid but was not scanned")
-
-
-def _reject(text: str, m: re.Match, state: str) -> ParseError:
-    return ParseError(_rejection(m["stmt"], state),
-                      line=_line(text, m.start("stmt")))
-
-
-def _diagnose(text: str, pos: int, state: str) -> None:
-    """Raise the ParseError for the statement at pos that the scanner did
-    not match; return if only blanks are left."""
-    start = _BLANKS_RE.match(text, pos).end()
-    if start == len(text):
-        return
-    end = text.find(".", start)
-    if end < 0:
-        raise ParseError("trailing text without terminating '.': "
-                         f"{text[start:].rstrip()!r}", line=_line(text, start))
-    raise ParseError(_rejection(text[start:end].rstrip(), state),
-                     line=_line(text, start))
+    return pred, args
 
 
 def parse_model_file(text: str) -> list[Interpretation]:
     """Parse every begin(model)/end(model) block of text.
 
-    One regular expression scans the text statement by statement and
-    accepts every statement it reads; line numbers are only counted for
-    the error raised when a statement is rejected.  Equal facts (and
-    events) of this call are one shared object: a table, kept for this
-    call only, maps each accepted statement's text and its blank-free
-    spelling to the fact and event built for it."""
+    One loose regular expression splits the text into statements, and one
+    loop reads each one outside a block, as a block's identifier or among
+    its facts, telling begin(model) and end(model) apart first.  A table,
+    kept for this call only, maps each accepted fact's text and its
+    blank-free spelling to the fact and event built for it: :func:`_fact`
+    checks each distinct statement once, and equal facts (and events) are
+    one shared object.  Lines are only counted for a rejection."""
     if "%" in text:
         text = _COMMENT_RE.sub("", text)
-    scan = _STMT_RE.match
     known: dict[str, tuple[Literal, Event | None]] = {}
     out: list[Interpretation] = []
-    pos = 0
-    while m := scan(text, pos):
-        if m["stmt"] != "begin(model)":
-            raise _reject(text, m, "outside")
-        opened = m.start("stmt")
-        pos = m.end()
-        m = scan(text, pos)
-        if m is None:
-            _diagnose(text, pos, "ident")
-            raise ParseError("missing end(model).", line=_line(text, opened))
-        ident = _IDENT_RE.match(m["stmt"])
-        if ident is None:
-            raise _reject(text, m, "ident")
-        facts: list[Literal] = []
-        events: list[Event] = []
-        while True:
-            pos = m.end()
-            m = scan(text, pos)
-            if m is None:
-                _diagnose(text, pos, "facts")
-                raise ParseError("missing end(model).", line=_line(text, opened))
-            stmt, pred, argtext = m.groups()
-            if stmt == "end(model)":
-                break
-            if stmt == "begin(model)":
-                raise _reject(text, m, "facts")
+    opened = None  # where the open block's begin(model) starts
+    ident = None  # the open block's identifier, once read
+    for m in _STMT_RE.finditer(text):
+        stmt = m[1]
+        if stmt == "begin(model)":
+            if opened is not None:
+                raise ParseError("begin(model) inside an open block",
+                                 line=_line(text, m.start(1)))
+            opened = m.start(1)
+        elif stmt == "end(model)":
+            if ident is None:
+                raise ParseError("end(model) without identified block",
+                                 line=_line(text, m.start(1)))
+            out.append(Interpretation(
+                situation=int(ident[2]), source=ident[3], label=ident[1],
+                facts=frozenset(facts), raw_events=tuple(events)))
+            opened = ident = None
+        elif ident is not None:
             built = known.get(stmt)
             if built is None:
-                if argtext is None:
-                    if pred is None:
-                        raise _reject(text, m, "facts")
-                    built = (Literal(pred), None)
-                else:
-                    args = argtext.split(",")
-                    if " " in argtext or not argtext.isprintable():
-                        args = map(str.strip, args)  # whitespace around commas
-                    args = tuple(args)
-                    # the same fact spelt with other blanks shares too
-                    canon = f"{pred}({','.join(args)})"
-                    built = known.get(canon) or (
-                        Literal(pred, args),
-                        Event(args[0], pred, int(args[1]), args[2:])
-                        if _is_event(args) else None)
-                    known[canon] = built
-                known[stmt] = built
+                checked = _fact(stmt)
+                if isinstance(checked, str):
+                    raise ParseError(checked, line=_line(text, m.start(1)))
+                pred, args = checked
+                # the same fact spelt with other blanks shares too
+                canon = f"{pred}({','.join(args)})" if args else pred
+                built = known.get(canon) or (
+                    Literal(pred, args),
+                    Event(args[0], pred, int(args[1]), args[2:])
+                    if _is_event(args) else None)
+                known[stmt] = known[canon] = built
             fact, event = built
             facts.append(fact)
             if event is not None:
                 events.append(event)
-        out.append(Interpretation(
-            situation=int(ident[2]), source=ident[3], label=ident[1],
-            facts=frozenset(facts), raw_events=tuple(events)))
-        pos = m.end()
-    _diagnose(text, pos, "outside")
+        elif opened is not None:
+            ident = _IDENT_RE.match(stmt)
+            if ident is None:
+                raise ParseError(f"block identifier {stmt!r} does not match "
+                                 "<class>_<situation>_<source>",
+                                 line=_line(text, m.start(1)))
+            facts: list[Literal] = []
+            events: list[Event] = []
+        else:
+            raise ParseError(f"statement outside begin(model) block: {stmt!r}",
+                             line=_line(text, m.start(1)))
+    cut = text.rfind(".") + 1  # what follows the last '.' is no statement
+    tail = text[cut:]
+    if trailing := tail.strip():
+        raise ParseError("trailing text without terminating '.': "
+                         f"{trailing!r}",
+                         line=_line(text, cut + len(tail) - len(tail.lstrip())))
+    if opened is not None:
+        raise ParseError("missing end(model).", line=_line(text, opened))
     return out
 
 
@@ -299,13 +267,13 @@ def _cat(value: int, bounds: tuple[int, int], names: tuple[str, str, str]) -> st
 
 
 def _symbolize_event(e: Event, cfg: SymbolizationConfig) -> Literal:
-    attrs = tuple(cfg.amp(int(a)) if _INT_RE.match(a) else a for a in e.attrs)
+    attrs = tuple(cfg.amp(int(a)) if a.isdecimal() else a for a in e.attrs)
     return Literal(e.pred, (e.eid, *attrs))
 
 
 def _amp_of(e: Event) -> int | None:
     for a in e.attrs:
-        if _INT_RE.match(a):
+        if a.isdecimal():
             return int(a)
     return None
 

@@ -498,11 +498,6 @@ def member(c: Clause, t: DlabTemplate) -> bool:
 # refinement
 # --------------------------------------------------------------------------
 
-def _min_completions(t: DlabTemplate, nid: int) -> tuple[dict[int, tuple[int, ...]], ...]:
-    """All ways to satisfy the subtree at nid with the fewest chosen children."""
-    return tuple(_enum_picks(t, nid, minimal=True))
-
-
 def _reached_nodes(t: DlabTemplate,
                    sel: Selection) -> list[tuple[Node, tuple[int, ...]]] | None:
     """Each choice and inline node reachable under sel's picks, in tree
@@ -602,7 +597,7 @@ def _refinements(t: DlabTemplate, sel: Selection) -> dict[tuple, Refinement]:
 
     if reached is None:
         adds = not isinstance(t.node(t.root), TerminalNode)
-        for completion in _min_completions(t, t.root):
+        for completion in _enum_picks(t, t.root, minimal=True):
             consider(sel.merged(completion), adds)
         return results
     for node, chosen in reached:
@@ -616,6 +611,7 @@ def _refinements(t: DlabTemplate, sel: Selection) -> dict[tuple, Refinement]:
             for idx in range(len(node.children)):
                 if idx in chosen:
                     continue
-                for completion in _min_completions(t, node.children[idx]):
+                for completion in _enum_picks(t, node.children[idx],
+                                              minimal=True):
                     consider(sel.merged({node.nid: (idx,), **completion}), True)
     return results

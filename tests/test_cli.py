@@ -257,6 +257,17 @@ def test_malformed_fact_file_usage_error(tmp_path, bias_dir, capsys):
     assert capsys.readouterr().err.startswith(f"error: {bad}: line ")
 
 
+def test_repeated_event_id_names_the_file(tmp_path, bias_dir, capsys):
+    bad = tmp_path / "dup.facts"
+    bad.write_text("begin(model).\nsr_1_ECG.\nqrs(r1,100,normal).\n"
+                   "qrs(r1,900,normal).\nend(model).\n")
+    rc = main(["learn", "--source", "ECG", "--bias",
+               str(bias_dir / "ECG.dlab"), str(bad)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: duplicate event ids in sr_1_ECG\n")
+
+
 def test_malformed_grammar_usage_error(tmp_path, fact_dir, capsys):
     bad = tmp_path / "bad.dlab"
     bad.write_text("1-1:[qrs(R0,\n")

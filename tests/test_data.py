@@ -252,6 +252,10 @@ class TestParseProperties:
     @example("begin(model).\nsr_1_E.\nq(r1,5).\nq(r1,5).\nend(model).\n")
     @example("begin(model).\nsr_1_E.\nend( model).\nend(model).\n"
              "begin(model).\nsr_2_E.\nq(a).\nq( a ).\nend(model).\n")
+    @example("begin(model).\nsr_1_E.\nbegin( model).\nend(model).\n"
+             "begin(model).\nsr_2_E.\nq(a).\nend(model).\n")
+    @example("begin(model).\nsr_1_E.\nq(r1,5).\nsr_1_E.\nend(model).\n")
+    @example("begin(model).\nsr_1_E.\nq(a).\nend(model). . ")
     def test_parse_matches_reference(self, text):
         got = _outcome(parse_model_file, text)
         assert got == _outcome(brute_parse_model_file, text)
