@@ -82,13 +82,18 @@ def _parse_report(text: str) -> EvaluationReport:
 
 
 def _load_dataset(paths: list[str], mode: str) -> Dataset:
+    """Every interpretation in paths, saturated.  Each parse shares equal
+    facts within its file; one table kept for this call shares, across all
+    the files, the facts of every interpretation saturate rebuilds (one
+    that lacks derived facts, as an event-only file's do)."""
     schema = cardiac_schema(mode)
     cfg = SymbolizationConfig()
+    known = {}
     interps = []
     labels = set()
     for path in paths:
         for interp in _load(path, parse_model_file):
-            interps.append(saturate(interp, cfg, schema))
+            interps.append(saturate(interp, cfg, schema, known=known))
             labels.add(interp.label)
     if not interps:
         raise UsageError("no interpretations found in the given files")

@@ -30,6 +30,16 @@ checks each distinct statement once, builds each distinct fact, and each
 distinct event, once and hands the same object to every block that
 repeats it.  The table doing so belongs to that call alone: nothing is
 kept between calls.
+
+Saturation shares the same way.  :func:`saturate` derives each fact as a
+``(pred, args)`` pair (a :data:`FactKey`) and checks the pairs against the
+facts the interpretation holds, so a fact already there is never built
+again.  A missing one comes from its ``known`` table, which maps each pair
+to the one :class:`Literal` for it (:func:`shared_facts`): a caller that
+saturates many interpretations passes one table for the whole call, as
+:func:`relic.synth.generate_dataset` and the command line's loader do, and
+equal facts across all of them are one object.  The table changes which
+object holds an equal fact, never a result.
 """
 
 from __future__ import annotations
@@ -95,6 +105,23 @@ class Interpretation:
     @property
     def ident(self) -> str:
         return f"{self.label}_{self.situation}_{self.source}"
+
+
+FactKey = tuple[str, tuple[str, ...]]
+"""A ground fact as its predicate and arguments: what derivation yields."""
+
+
+def shared_facts(known: dict[FactKey, Literal],
+                 keys: Iterable[FactKey]) -> list[Literal]:
+    """The one Literal known holds for each key, built and entered on
+    first use."""
+    out: list[Literal] = []
+    for key in keys:
+        fact = known.get(key)
+        if fact is None:
+            fact = known[key] = Literal(*key)
+        out.append(fact)
+    return out
 
 
 def _is_event(args: tuple[str, ...]) -> bool:
@@ -266,9 +293,9 @@ def _cat(value: int, bounds: tuple[int, int], names: tuple[str, str, str]) -> st
     return names[2]
 
 
-def _symbolize_event(e: Event, cfg: SymbolizationConfig) -> Literal:
+def _symbolize_event(e: Event, cfg: SymbolizationConfig) -> FactKey:
     attrs = tuple(cfg.amp(int(a)) if a.isdecimal() else a for a in e.attrs)
-    return Literal(e.pred, (e.eid, *attrs))
+    return e.pred, (e.eid, *attrs)
 
 
 def _amp_of(e: Event) -> int | None:
@@ -282,33 +309,41 @@ SUC_WINDOW = 8  # suc relates events at most this many positions apart
 
 
 def succession_facts(events: Sequence[Event],
-                     origins: Sequence[str] | None = None) -> list[Literal]:
+                     origins: Sequence[str] | None = None) -> list[FactKey]:
     """suc(later, earlier) for time-ordered events at most SUC_WINDOW
-    positions apart, and suci(next, previous) for neighbours.  With
-    origins (each event's source), only pairs from different sources."""
+    positions apart, and suci(next, previous) for neighbours, as
+    (pred, args) pairs.  With origins (each event's source), only pairs
+    from different sources."""
     eids = [e.eid for e in events]
     n = len(eids)
-    out: list[Literal] = []
+    out: list[FactKey] = []
     for j, earlier in enumerate(eids):
         for i in range(j + 1, min(j + 1 + SUC_WINDOW, n)):
             if origins is None or origins[i] != origins[j]:
-                out.append(Literal("suc", (eids[i], earlier)))
+                out.append(("suc", (eids[i], earlier)))
     for i in range(1, n):
         if origins is None or origins[i] != origins[i - 1]:
-            out.append(Literal("suci", (eids[i], eids[i - 1])))
+            out.append(("suci", (eids[i], eids[i - 1])))
     return out
 
 
 def saturate(interp: Interpretation, cfg: SymbolizationConfig,
-             schema: PredicateSchema) -> Interpretation:
+             schema: PredicateSchema, *,
+             known: dict[FactKey, Literal] | None = None) -> Interpretation:
     """Extend facts with everything the background knowledge derives.
 
     Derived facts: timestamp-free event facts with symbolized attributes,
     suc/suci over the interpretation's timeline (succession_facts), the
-    schema's timing predicates, and cycle_abp.
+    schema's timing predicates, and cycle_abp.  Each is derived as a
+    (pred, args) pair and checked against the facts held; only a missing
+    one becomes a Literal.
     Deterministic and idempotent; an event-free interpretation, or one
     that already holds everything derived (a saturated file read back), is
     returned unchanged: the same object, sharing its index and memo.
+    Otherwise every fact of the result, held or derived, is the one object
+    known holds for it (shared_facts); known gains the ones it lacked.  One
+    table passed to every call of a batch makes equal facts across the
+    batch one object; None means a fresh table.  No table changes a result.
     """
     events = interp.raw_events
     if not events:
@@ -317,7 +352,7 @@ def saturate(interp: Interpretation, cfg: SymbolizationConfig,
         if (a.time, a.eid) > (b.time, b.eid):
             raise InternalError("raw events out of order after construction")
 
-    derived: list[Literal] = [_symbolize_event(e, cfg) for e in events]
+    derived: list[FactKey] = [_symbolize_event(e, cfg) for e in events]
     derived.extend(succession_facts(events))
 
     by_pred: dict[str, list[Event]] = {}
@@ -332,7 +367,7 @@ def saturate(interp: Interpretation, cfg: SymbolizationConfig,
             stream = by_pred.get(decl.derive[1], [])
             for a, b in zip(stream, stream[1:]):
                 cat = _timing_cat(cfg, decl.scale, b.time - a.time)
-                derived.append(Literal(decl.name, (a.eid, b.eid, cat)))
+                derived.append((decl.name, (a.eid, b.eid, cat)))
         elif kind == "next":
             # both streams are time-ordered: one pointer walks the seconds
             # to the first one after each first
@@ -346,18 +381,25 @@ def saturate(interp: Interpretation, cfg: SymbolizationConfig,
                     break
                 b = seconds[j]
                 cat = _timing_cat(cfg, decl.scale, b.time - a.time)
-                derived.append(Literal(decl.name, (a.eid, b.eid, cat)))
+                derived.append((decl.name, (a.eid, b.eid, cat)))
         elif kind == "cycle":
             derived.extend(_derive_cycles(events, decl.derive[1],
                                           decl.derive[2], decl.name, cfg))
         else:
             raise InternalError(f"unknown derivation kind {kind!r}")
 
-    if interp.facts.issuperset(derived):
+    held = {(f.pred, f.args): f for f in interp.facts}
+    missing = [key for key in derived if key not in held]
+    if not missing:
         return interp
+    if known is None:
+        known = {}
+    # a set, not a list: the frozenset copied from it is sized once for
+    # all its facts, a smaller table than one grown fact by fact
+    facts = {known.setdefault(key, f) for key, f in held.items()}
+    facts.update(shared_facts(known, missing))
     return Interpretation(situation=interp.situation, source=interp.source,
-                          label=interp.label,
-                          facts=interp.facts | frozenset(derived),
+                          label=interp.label, facts=frozenset(facts),
                           raw_events=events)
 
 
@@ -366,11 +408,11 @@ def _timing_cat(cfg: SymbolizationConfig, scale: str, ms: int) -> str:
 
 
 def _derive_cycles(events: Sequence[Event], dias_pred: str, sys_pred: str,
-                   name: str, cfg: SymbolizationConfig) -> list[Literal]:
+                   name: str, cfg: SymbolizationConfig) -> list[FactKey]:
     """cycle_abp(D, ampsd, S, ampds) for each diastole immediately followed
-    by a systole; ampsd relates the previous systole to D (undef if none),
-    ampds relates D to S."""
-    out: list[Literal] = []
+    by a systole, as (pred, args) pairs; ampsd relates the previous systole
+    to D (undef if none), ampds relates D to S."""
+    out: list[FactKey] = []
     prev_sys: Event | None = None
     for i, e in enumerate(events):
         if e.pred == dias_pred and i + 1 < len(events):
@@ -386,7 +428,7 @@ def _derive_cycles(events: Sequence[Event], dias_pred: str, sys_pred: str,
                              if p_amp is not None else "undef")
                 else:
                     ampsd = "undef"
-                out.append(Literal(name, (e.eid, ampsd, nxt.eid, ampds)))
+                out.append((name, (e.eid, ampsd, nxt.eid, ampds)))
         if e.pred == sys_pred:
             prev_sys = e
     return out

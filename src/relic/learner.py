@@ -27,6 +27,11 @@ cross-validation share it because Dataset.restrict keeps the same source
 Interpretations and multisource.aggregate merges a situation once for a
 dataset and all its restrictions.  A miss runs covers, which plans each
 body literal once per example, on the example's FactIndex.
+
+A child that covers no positive is never acceptable and never enters the
+beam, so its negatives are not tested: it keeps its place among the
+round's candidates, so later selections of its body still pool onto it,
+with no negative covered.
 """
 
 from __future__ import annotations
@@ -163,10 +168,13 @@ def _beam_search(label: str, bias: DlabTemplate,
                     c = Clause(head, child.body)
                     if child.additive:
                         pos_cover = _coverage(c, text, pos, parent.pos_cover)
-                        neg_cover = _coverage(c, text, neg, parent.neg_cover)
+                        neg_among = parent.neg_cover
                     else:
                         pos_cover = _coverage(c, text, pos, remaining)
-                        neg_cover = _coverage(c, text, neg, all_neg)
+                        neg_among = all_neg
+                    # covering no positive, it never enters the beam
+                    neg_cover = (_coverage(c, text, neg, neg_among)
+                                 if pos_cover else ())
                     tp, fp = len(pos_cover), len(neg_cover)
                     acc = accuracy(tp, n_neg - fp, fp, n_pos - tp)
                     grouped[text] = _Candidate((child.sel,), c, text,

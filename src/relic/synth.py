@@ -29,7 +29,8 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from .data import Dataset, Event, Interpretation, SymbolizationConfig, saturate
+from .data import (Dataset, Event, FactKey, Interpretation,
+                   SymbolizationConfig, saturate)
 from .dlab import (DlabTemplate, InlineSpec, choice, compile_template, inline,
                    literal, nested)
 from .errors import UsageError
@@ -257,14 +258,19 @@ def generate_example(label: str, situation: int, cfg: GeneratorConfig
 
 
 def generate_dataset(cfg: GeneratorConfig) -> Dataset:
-    """per_class aligned examples for each of the seven classes, saturated."""
+    """per_class aligned examples for each of the seven classes, saturated.
+
+    One table, kept for this call only, is passed to every saturate call,
+    so each distinct fact is one object across the whole dataset."""
     schema = cardiac_schema(cfg.mode)
+    known: dict[FactKey, Literal] = {}
     interps: list[Interpretation] = []
     situation = 0
     for label in CLASSES:
         for _ in range(cfg.per_class):
             for view in generate_example(label, situation, cfg):
-                interps.append(saturate(view, cfg.symbolization, schema))
+                interps.append(saturate(view, cfg.symbolization, schema,
+                                        known=known))
             situation += 1
     return Dataset(tuple(interps), schema, CLASSES)
 

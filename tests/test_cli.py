@@ -1,10 +1,11 @@
 import argparse
 import json
+import re
 
 import pytest
 
 from relic import evaluate, synth
-from relic.cli import build_parser, main
+from relic.cli import _load_dataset, build_parser, main
 from relic.dlab import MAX_NESTING, template_text
 from relic.synth import monosource_biases
 
@@ -32,6 +33,27 @@ def test_synth_writes_parseable_files(fact_dir):
     abp = (fact_dir / "ABP.facts").read_text()
     assert len(parse_model_file(ecg)) == 14
     assert len(parse_model_file(abp)) == 14
+
+
+# the lines of a written fact file that its event-only copy keeps: block
+# delimiters, identifiers and event records (an integer second argument)
+EVENT_ONLY = re.compile(
+    r"(begin|end)\(model\)\.|[^(]*\.|[a-z]\w*\([^,()]+,\d+[,)].*")
+
+
+def test_load_dataset_saturates_event_only_files_sharing_each_fact(
+        fact_dir, tmp_path):
+    saturated = [fact_dir / f"{s}.facts" for s in ("ECG", "ABP")]
+    bare = [tmp_path / path.name for path in saturated]
+    for path, copy in zip(saturated, bare):
+        copy.write_text("".join(line + "\n"
+                                for line in path.read_text().splitlines()
+                                if EVENT_ONLY.fullmatch(line)))
+    loaded = _load_dataset(list(map(str, bare)), "full")
+    facts = [f for i in loaded.interpretations for f in i.facts]
+    assert len({id(f) for f in facts}) == len(set(facts))
+    assert loaded == _load_dataset(list(map(str, saturated)), "full")
+    assert not any("suc(" in copy.read_text() for copy in bare)
 
 
 def test_mode_choices_come_from_their_modules():

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from conftest import ECG_BLOCK, ABP_BLOCK
 from hypothesis import example, given, settings
@@ -346,10 +348,27 @@ class TestSaturate:
         ds = generate_dataset(GeneratorConfig(seed=1, per_class=2, cycles=6))
         for read in parse_model_file(write_model_file(ds.interpretations)):
             assert saturate(read, CFG, SCHEMA) is read
-            bare = _interp(read.raw_events, read.label, read.situation,
-                           read.source)
+            bare = _bare(read)
             assert bare.facts < read.facts
             assert saturate(bare, CFG, SCHEMA).facts == read.facts
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_partly_saturated_input_regains_exactly_what_it_lacks(self, data):
+        """Any subset of a read-back saturated interpretation's derived
+        facts removed, saturate restores exactly the facts it was read
+        with; with nothing removed it returns its input itself."""
+        read = data.draw(st.sampled_from(_read_back()))
+        derived = sorted(read.facts - _bare(read).facts, key=str)
+        gone = data.draw(st.sets(st.sampled_from(derived)))
+        part = Interpretation(situation=read.situation, source=read.source,
+                              label=read.label, facts=read.facts - gone,
+                              raw_events=read.raw_events)
+        known = data.draw(st.sampled_from([None, {}]))
+        out = saturate(part, CFG, SCHEMA, known=known)
+        assert out.facts == read.facts
+        assert (out is part) == (not gone)
 
     def test_suci_implies_suc_and_count(self):
         ds = generate_dataset(GeneratorConfig(seed=5, per_class=2))
@@ -369,6 +388,44 @@ class TestSaturate:
         s = saturate(i, CFG, SCHEMA)
         assert lit("dias", "pd4", "normal") in s.facts
         assert lit("sys", "ps4", "high") in s.facts
+
+
+def _bare(read):
+    """read's events alone, without the facts derived from them."""
+    return _interp(read.raw_events, read.label, read.situation, read.source)
+
+
+@functools.cache
+def _read_back():
+    ds = generate_dataset(GeneratorConfig(seed=2, per_class=1, cycles=4))
+    return parse_model_file(write_model_file(ds.interpretations))
+
+
+def _one_object_per_fact(interps):
+    facts = [f for i in interps for f in i.facts]
+    return len({id(f) for f in facts}) == len(set(facts))
+
+
+class TestSharing:
+    """Equal facts made in one call are one object; which object holds a
+    fact is all a shared table changes."""
+
+    def test_generated_dataset_holds_one_object_per_fact(self):
+        ds = generate_dataset(GeneratorConfig(seed=1, per_class=2))
+        assert _one_object_per_fact(ds.interpretations)
+        assert _one_object_per_fact(aggregate(ds).examples)
+
+    def test_shared_table_changes_no_result(self):
+        known = {}
+        shared = []
+        for read in _read_back():
+            bare = _bare(read)
+            out = saturate(bare, CFG, SCHEMA, known=known)
+            assert out.facts == saturate(bare, CFG, SCHEMA).facts == read.facts
+            shared.append(out)
+        assert _one_object_per_fact(shared)
+        assert all(known[(f.pred, f.args)] is f
+                   for i in shared for f in i.facts)
 
 
 class TestConsistency:
