@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import InternalError, ParseError, UsageError
+from .errors import ParseError, UsageError
 from .logic import FactIndex, Literal, PredicateSchema
 
 if TYPE_CHECKING:
@@ -348,9 +348,6 @@ def saturate(interp: Interpretation, cfg: SymbolizationConfig,
     events = interp.raw_events
     if not events:
         return interp
-    for a, b in zip(events, events[1:]):
-        if (a.time, a.eid) > (b.time, b.eid):
-            raise InternalError("raw events out of order after construction")
 
     derived: list[FactKey] = [_symbolize_event(e, cfg) for e in events]
     derived.extend(succession_facts(events))
@@ -382,11 +379,9 @@ def saturate(interp: Interpretation, cfg: SymbolizationConfig,
                 b = seconds[j]
                 cat = _timing_cat(cfg, decl.scale, b.time - a.time)
                 derived.append((decl.name, (a.eid, b.eid, cat)))
-        elif kind == "cycle":
+        else:  # "cycle", the one kind left (PredicateDecl checks)
             derived.extend(_derive_cycles(events, decl.derive[1],
                                           decl.derive[2], decl.name, cfg))
-        else:
-            raise InternalError(f"unknown derivation kind {kind!r}")
 
     held = {(f.pred, f.args): f for f in interp.facts}
     missing = [key for key in derived if key not in held]

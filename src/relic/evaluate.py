@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from .data import Dataset, Interpretation
 from .dlab import DlabTemplate
 from .errors import UsageError
-from .learner import LearnerParams, Theory, learn_theory, train_accuracy
+from .learner import LearnerParams, learn_theory, train_accuracy
 from .logic import Clause, PredicateSchema, theory_covers
 from .multisource import (InterleavingConstraint, aggregate,
                           biased_multisource_learn, naive_bias)
@@ -71,13 +71,6 @@ class EvaluationReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _test_score(theory: Theory, label: str, example: Interpretation) -> int:
-    covered = theory_covers(theory.clauses_for(label), example.index)
-    if example.label == label:
-        return 1 if covered else 0
-    return 0 if covered else 1
-
-
 def cross_validate(dataset: Dataset, mode: str, folds: int,
                    biases: Mapping[str, DlabTemplate] | None = None,
                    constraints: Iterable[InterleavingConstraint] = (),
@@ -87,11 +80,17 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
     """p-fold cross-validation (folds == number of situations is
     leave-one-out), with the identical fold plan applied to every source.
 
-    Folds run one after another in plan order, then one run on the full
-    dataset; each mode only supplies which examples are held out, how a
-    fold learns, and which source views its audit lists.  A fold is scored
-    on the held-out examples outside its test set: in biased mode, the
-    very examples its pipeline learned from.  A fold's audit lists the
+    Each mode supplies one learn function, called by every fold in plan
+    order and then by one run on the full dataset, and says which examples
+    are held out and which source views its audit lists.  Biased mode runs
+    biased_multisource_learn on the fold's training situations (on dataset
+    itself for the full run); mono and naive modes run learn_theory on the
+    held-out examples outside the test set, skipping with a warning each
+    class with no positive there.  A fold's warnings carry its number, the
+    full run's do not.  A fold is scored as it runs, on the held-out
+    examples outside its test set (in biased mode, the very examples its
+    pipeline learned from) and on its test examples; the rows pair those
+    scores with the full run's theory.  A fold's audit lists the
     situations of its test examples under their source (AGG when
     aggregated); biased mode first lists, per source, the fold's test
     situations with a view there.
@@ -112,22 +111,13 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
         held_out = aggregate(dataset).examples
         views = dataset.sources()
 
-        def learn(fold: int, test_ids: frozenset[int], train):
-            result = biased_multisource_learn(
-                dataset.restrict(set(dataset.situations()) - test_ids),
-                biases, constraints, params)
-            return result.theory, [f"fold {fold}: {w}"
-                                   for w in result.warnings]
-
-        def learn_full() -> Theory:
-            full = biased_multisource_learn(dataset, biases, constraints,
-                                            params)
-            report.warnings.extend(full.warnings)
-            for src, theory in full.mono.items():
-                report.meta[f"mono_time_ms_{src}"] = str(round(sum(
-                    r.stats.time_ms for r in theory.per_class.values()), 1))
-                report.meta[f"mono_nodes_{src}"] = str(theory.total_nodes())
-            return full.theory
+        def learn(test_ids: frozenset[int], train: list[Interpretation]):
+            pipeline_data = (dataset.restrict(set(dataset.situations())
+                                              - test_ids)
+                             if test_ids else dataset)
+            result = biased_multisource_learn(pipeline_data, biases,
+                                              constraints, params)
+            return result.theory, result.warnings, result.mono
     else:
         if mode == "mono":
             if source is None:
@@ -142,63 +132,48 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
             bias = naive_bias(dataset.schema, naive_max_events)
             report.meta["naive_max_events"] = str(naive_max_events)
 
-        def learn(fold: int, test_ids: frozenset[int], train):
-            return _guarded_theory(train, bias, params, classes, fold)
+        def learn(test_ids: frozenset[int], train: list[Interpretation]):
+            present = {e.label for e in train}
+            theory = learn_theory(train, bias, params,
+                                  classes=[c for c in classes if c in present])
+            return theory, [f"class {c} has no training positives; skipped"
+                            for c in classes if c not in present], {}
 
-        def learn_full() -> Theory:
-            return learn_theory(held_out, bias, params, classes=classes)
-
-    per_fold = []
+    tracc = dict.fromkeys(classes, 0.0)
+    correct = dict.fromkeys(classes, 0)  # test examples predicted right
     for fold, test_set in enumerate(test_sets):
         test_ids = frozenset(test_set)
         train = [e for e in held_out if e.situation not in test_ids]
         test = [e for e in held_out if e.situation in test_ids]
-        theory, warns = learn(fold, test_ids, train)
-        per_fold.append(_fold_outcome(theory, classes, train, test))
+        theory, warns, _ = learn(test_ids, train)
+        for label in classes:
+            clauses = theory.clauses_for(label)
+            tracc[label] += train_accuracy(clauses, label, train)
+            correct[label] += sum(theory_covers(clauses, e.index)
+                                  == (e.label == label) for e in test)
         audit = {src: frozenset(s for s in test_ids
                                 if dataset.get(src, s) is not None)
                  for src in views}
         audit[audit_key] = frozenset(e.situation for e in test)
         report.fold_audit.append(audit)
-        report.warnings.extend(warns)
-    _fill_rows(report, classes, per_fold, learn_full(), dataset.schema)
-    return report
+        report.warnings.extend(f"fold {fold}: {w}" for w in warns)
 
-
-def _guarded_theory(train: list[Interpretation], bias, params, classes,
-                    fold: int) -> tuple[Theory, list[str]]:
-    """Learn per class, skipping (with a warning) classes with no training
-    positives."""
-    present = {e.label for e in train}
-    usable = [c for c in classes if c in present]
-    warnings = [f"fold {fold}: class {c} has no training positives; skipped"
-                for c in classes if c not in present]
-    return learn_theory(train, bias, params, classes=usable), warnings
-
-
-def _fold_outcome(theory: Theory, classes, train, test):
-    traccs = {}
-    scores = {}
+    theory, warns, mono = learn(frozenset(), held_out)
+    report.warnings.extend(warns)
+    for src, mono_theory in mono.items():
+        report.meta[f"mono_time_ms_{src}"] = str(round(sum(
+            r.stats.time_ms for r in mono_theory.per_class.values()), 1))
+        report.meta[f"mono_nodes_{src}"] = str(mono_theory.total_nodes())
     for label in classes:
-        clauses = theory.clauses_for(label)
-        traccs[label] = train_accuracy(clauses, label, train) if train else 0.0
-        scores[label] = [_test_score(theory, label, e) for e in test]
-    return traccs, scores
-
-
-def _fill_rows(report: EvaluationReport, classes, per_fold, full_theory,
-               schema: PredicateSchema):
-    for label in classes:
-        traccs = [f[0][label] for f in per_fold]
-        pooled = [s for f in per_fold for s in f[1][label]]
-        result = full_theory.per_class.get(label)
+        result = theory.per_class.get(label)
         report.rows.append(ClassReport(
-            label=label,
-            tracc=sum(traccs) / len(traccs) if traccs else 0.0,
-            acc=sum(pooled) / len(pooled) if pooled else 0.0,
-            comp=comp_metric(result.clauses if result else (), schema),
+            label=label, tracc=tracc[label] / folds,
+            acc=correct[label] / len(held_out),
+            comp=comp_metric(result.clauses if result else (),
+                             dataset.schema),
             nodes=result.stats.nodes if result else 0,
             time_ms=result.stats.time_ms if result else 0.0))
+    return report
 
 
 # --------------------------------------------------------------------------

@@ -66,12 +66,6 @@ class Clause:
     head: Literal
     body: tuple[Literal, ...] = ()
 
-    @property
-    def label(self) -> str:
-        if len(self.head.args) != 1:
-            raise UsageError(f"clause head {self.head} is not class(label)")
-        return self.head.args[0]
-
     def variables(self) -> list[Term]:
         seen: dict[Term, None] = {}
         for literal in (self.head, *self.body):
@@ -364,6 +358,11 @@ class PredicateDecl:
     def __post_init__(self):
         if self.role not in ROLES:
             raise UsageError(f"unknown predicate role {self.role!r}")
+        if self.derive and self.derive[0] not in ("consecutive", "next",
+                                                  "cycle"):
+            raise UsageError(f"unknown derivation kind {self.derive[0]!r}")
+        if self.scale not in ("beat", "wave"):
+            raise UsageError(f"unknown timing scale {self.scale!r}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .data import (Dataset, FactKey, Interpretation, shared_facts,
@@ -180,8 +179,6 @@ def interleavings(h1: Clause, h2: Clause, schema: PredicateSchema,
         it1, it2 = iter(first), iter(second)
         merges.append(tuple(next(it1) if pos in slots else next(it2)
                             for pos in range(n + p)))
-    if len(merges) != comb(n + p, n):
-        raise InternalError("interleaving count mismatch")
     return merges
 
 
@@ -370,8 +367,12 @@ def biased_multisource_learn(dataset: Dataset,
                              ) -> MultisourceResult:
     """Learn per source, aggregate, interleave rule pairs into bottom
     clauses, build one bias per class, and learn again on aggregated data.
-    A class bias whose blocks dataset's family has compiled before is
-    taken from dataset.templates; synthesize_bias runs only on a miss."""
+    A class that no aggregated example holds (say, one with no view on a
+    source) is skipped with a warning before its bottom clauses are built,
+    as is one with no monosource rule on either source; the final theory
+    has no entry for it.  A class bias whose blocks dataset's family has
+    compiled before is taken from dataset.templates; synthesize_bias runs
+    only on a miss."""
     sources = dataset.sources()
     if len(sources) != 2:
         raise UsageError("the pipeline handles exactly two sources")
@@ -398,9 +399,13 @@ def biased_multisource_learn(dataset: Dataset,
     agg = aggregate(dataset)
 
     classes = sorted({i.label for i in dataset.interpretations})
+    aggregated = {e.label for e in agg.examples}
     bottoms: dict[str, tuple[BottomClause, ...]] = {}
     class_biases: dict[str, DlabTemplate] = {}
     for label in classes:
+        if label not in aggregated:
+            warnings.append(f"class {label}: no aggregated example; skipped")
+            continue
         hs = [list(mono[s].clauses_for(label)) for s in sources]
         if not any(hs):
             warnings.append(f"class {label}: no monosource rules on either "

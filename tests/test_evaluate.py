@@ -162,6 +162,43 @@ class TestFoldAudit:
         assert 0 not in report.fold_audit[0]["ECG"]
 
 
+@pytest.fixture(scope="module")
+def abp_gap(small):
+    """small without any ABP view of class af: af has no view on ABP and
+    no aggregated example."""
+    return Dataset(tuple(i for i in small.interpretations
+                         if (i.source, i.label) != ("ABP", "af")),
+                   small.schema, small.classes)
+
+
+class TestSourceGap:
+    """A class with no view on one source leaves the folds and the full run
+    of every mode without its positives there: each skips it with a
+    warning, and its row reports no full-run theory."""
+
+    @pytest.mark.parametrize("mode, kwargs, warning", [
+        ("naive", dict(naive_max_events=2),
+         "class af has no training positives; skipped"),
+        ("biased", dict(biases=monosource_biases("full")),
+         "class af: no aggregated example; skipped"),
+        ("mono", dict(source="ABP", biases=monosource_biases("full")),
+         "class af has no training positives; skipped"),
+    ], ids=["naive", "biased", "mono"])
+    def test_crossval_completes_without_the_class(self, abp_gap, mode,
+                                                  kwargs, warning):
+        report = cross_validate(abp_gap, mode, 2, **kwargs)
+        row = {r.label: r for r in report.rows}["af"]
+        assert (row.nodes, row.comp) == (0, "0")
+        assert report.warnings[-1] == warning
+        assert f"fold 0: {warning}" in report.warnings
+
+    def test_pipeline_skips_the_class(self, abp_gap):
+        result = biased_multisource_learn(abp_gap, monosource_biases("full"))
+        assert "class af: no aggregated example; skipped" in result.warnings
+        assert "af" not in result.theory.per_class
+        assert "af" not in result.class_biases
+
+
 class TestSmallPipelineCrossval:
     """2 examples per class, 2 folds: exercises the full biased CV path."""
 

@@ -323,6 +323,16 @@ class TestSchema:
         with pytest.raises(UsageError):
             PredicateDecl("p", "thing", "ECG")
 
+    def test_unknown_derivation_kind_rejected(self):
+        with pytest.raises(UsageError, match="derivation kind 'previous'"):
+            PredicateDecl("rr", "relational", argspec=("a", "b", "cat"),
+                          derive=("previous", "qrs"))
+
+    def test_unknown_timing_scale_rejected(self):
+        with pytest.raises(UsageError, match="timing scale 'bar'"):
+            PredicateDecl("rr", "relational", argspec=("a", "b", "cat"),
+                          derive=("consecutive", "qrs"), scale="bar")
+
 
 def test_canonical_text_order_insensitive():
     a = clause("x", (lit("p", "A"), lit("q", "A", "B")))
