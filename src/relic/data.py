@@ -31,11 +31,11 @@ distinct event, once and hands the same object to every block that
 repeats it.  The table doing so belongs to that call alone: nothing is
 kept between calls.
 
-Saturation shares the same way.  :func:`saturate` derives each fact as a
-``(pred, args)`` pair (a :data:`FactKey`) and checks the pairs against the
-facts the interpretation holds, so a fact already there is never built
-again.  A missing one comes from its ``known`` table, which maps each pair
-to the one :class:`Literal` for it (:func:`shared_facts`): a caller that
+Saturation shares the same way.  A :class:`Literal` is a named tuple, so
+a fact is its own key: :func:`saturate` checks each derived fact against
+the facts the interpretation holds and, when one is missing, takes every
+fact of its result from its ``known`` table, which maps each fact to the
+one object kept for it (``known.setdefault(f, f)``).  A caller that
 saturates many interpretations passes one table for the whole call, as
 :func:`relic.synth.generate_dataset` and the command line's loader do, and
 equal facts across all of them are one object.  The table changes which
@@ -107,23 +107,6 @@ class Interpretation:
         return f"{self.label}_{self.situation}_{self.source}"
 
 
-FactKey = tuple[str, tuple[str, ...]]
-"""A ground fact as its predicate and arguments: what derivation yields."""
-
-
-def shared_facts(known: dict[FactKey, Literal],
-                 keys: Iterable[FactKey]) -> list[Literal]:
-    """The one Literal known holds for each key, built and entered on
-    first use."""
-    out: list[Literal] = []
-    for key in keys:
-        fact = known.get(key)
-        if fact is None:
-            fact = known[key] = Literal(*key)
-        out.append(fact)
-    return out
-
-
 def _is_event(args: tuple[str, ...]) -> bool:
     """Whether ground arguments are an event record's: (id, integer
     timestamp, attributes...)."""
@@ -134,22 +117,21 @@ def _line(text: str, pos: int) -> int:
     return text.count("\n", 0, pos) + 1
 
 
-def _fact(stmt: str) -> tuple[str, tuple[str, ...]] | str:
-    """A fact statement's predicate and ground arguments, or why it is not
-    a fact."""
+def _fact(stmt: str) -> Literal | str:
+    """A fact statement's ground fact, or why it is not a fact."""
     m = _FACT_RE.fullmatch(stmt)
     if m is None:
         return f"malformed fact {stmt!r}"
     pred, argtext = m.groups()
     if argtext is None:
-        return pred, ()
+        return Literal(pred)
     args = tuple(a.strip() for a in argtext.split(","))
     for a in args:
         if not a:
             return f"empty argument in {stmt!r}"
         if not _ARG_RE.fullmatch(a):
             return f"non-ground or malformed argument {a!r} in fact {stmt!r}"
-    return pred, args
+    return Literal(pred, args)
 
 
 def parse_model_file(text: str) -> list[Interpretation]:
@@ -186,15 +168,14 @@ def parse_model_file(text: str) -> list[Interpretation]:
         elif ident is not None:
             built = known.get(stmt)
             if built is None:
-                checked = _fact(stmt)
-                if isinstance(checked, str):
-                    raise ParseError(checked, line=_line(text, m.start(1)))
-                pred, args = checked
+                fact = _fact(stmt)
+                if isinstance(fact, str):
+                    raise ParseError(fact, line=_line(text, m.start(1)))
+                pred, args = fact
                 # the same fact spelt with other blanks shares too
-                canon = f"{pred}({','.join(args)})" if args else pred
+                canon = str(fact)
                 built = known.get(canon) or (
-                    Literal(pred, args),
-                    Event(args[0], pred, int(args[1]), args[2:])
+                    fact, Event(args[0], pred, int(args[1]), args[2:])
                     if _is_event(args) else None)
                 known[stmt] = known[canon] = built
             fact, event = built
@@ -293,9 +274,9 @@ def _cat(value: int, bounds: tuple[int, int], names: tuple[str, str, str]) -> st
     return names[2]
 
 
-def _symbolize_event(e: Event, cfg: SymbolizationConfig) -> FactKey:
+def _symbolize_event(e: Event, cfg: SymbolizationConfig) -> Literal:
     attrs = tuple(cfg.amp(int(a)) if a.isdecimal() else a for a in e.attrs)
-    return e.pred, (e.eid, *attrs)
+    return Literal(e.pred, (e.eid, *attrs))
 
 
 def _amp_of(e: Event) -> int | None:
@@ -309,47 +290,45 @@ SUC_WINDOW = 8  # suc relates events at most this many positions apart
 
 
 def succession_facts(events: Sequence[Event],
-                     origins: Sequence[str] | None = None) -> list[FactKey]:
+                     origins: Sequence[str] | None = None) -> list[Literal]:
     """suc(later, earlier) for time-ordered events at most SUC_WINDOW
-    positions apart, and suci(next, previous) for neighbours, as
-    (pred, args) pairs.  With origins (each event's source), only pairs
-    from different sources."""
+    positions apart, and suci(next, previous) for neighbours.  With
+    origins (each event's source), only pairs from different sources."""
     eids = [e.eid for e in events]
     n = len(eids)
-    out: list[FactKey] = []
+    out: list[Literal] = []
     for j, earlier in enumerate(eids):
         for i in range(j + 1, min(j + 1 + SUC_WINDOW, n)):
             if origins is None or origins[i] != origins[j]:
-                out.append(("suc", (eids[i], earlier)))
+                out.append(Literal("suc", (eids[i], earlier)))
     for i in range(1, n):
         if origins is None or origins[i] != origins[i - 1]:
-            out.append(("suci", (eids[i], eids[i - 1])))
+            out.append(Literal("suci", (eids[i], eids[i - 1])))
     return out
 
 
 def saturate(interp: Interpretation, cfg: SymbolizationConfig,
              schema: PredicateSchema, *,
-             known: dict[FactKey, Literal] | None = None) -> Interpretation:
+             known: dict[Literal, Literal] | None = None) -> Interpretation:
     """Extend facts with everything the background knowledge derives.
 
     Derived facts: timestamp-free event facts with symbolized attributes,
     suc/suci over the interpretation's timeline (succession_facts), the
-    schema's timing predicates, and cycle_abp.  Each is derived as a
-    (pred, args) pair and checked against the facts held; only a missing
-    one becomes a Literal.
+    schema's timing predicates, and cycle_abp.
     Deterministic and idempotent; an event-free interpretation, or one
     that already holds everything derived (a saturated file read back), is
     returned unchanged: the same object, sharing its index and memo.
     Otherwise every fact of the result, held or derived, is the one object
-    known holds for it (shared_facts); known gains the ones it lacked.  One
-    table passed to every call of a batch makes equal facts across the
-    batch one object; None means a fresh table.  No table changes a result.
+    known holds for it (known.setdefault(f, f)); known gains the ones it
+    lacked.  One table passed to every call of a batch makes equal facts
+    across the batch one object; None means a fresh table.  No table
+    changes a result.
     """
     events = interp.raw_events
     if not events:
         return interp
 
-    derived: list[FactKey] = [_symbolize_event(e, cfg) for e in events]
+    derived = [_symbolize_event(e, cfg) for e in events]
     derived.extend(succession_facts(events))
 
     by_pred: dict[str, list[Event]] = {}
@@ -364,7 +343,7 @@ def saturate(interp: Interpretation, cfg: SymbolizationConfig,
             stream = by_pred.get(decl.derive[1], [])
             for a, b in zip(stream, stream[1:]):
                 cat = _timing_cat(cfg, decl.scale, b.time - a.time)
-                derived.append((decl.name, (a.eid, b.eid, cat)))
+                derived.append(Literal(decl.name, (a.eid, b.eid, cat)))
         elif kind == "next":
             # both streams are time-ordered: one pointer walks the seconds
             # to the first one after each first
@@ -378,21 +357,20 @@ def saturate(interp: Interpretation, cfg: SymbolizationConfig,
                     break
                 b = seconds[j]
                 cat = _timing_cat(cfg, decl.scale, b.time - a.time)
-                derived.append((decl.name, (a.eid, b.eid, cat)))
+                derived.append(Literal(decl.name, (a.eid, b.eid, cat)))
         else:  # "cycle", the one kind left (PredicateDecl checks)
             derived.extend(_derive_cycles(events, decl.derive[1],
                                           decl.derive[2], decl.name, cfg))
 
-    held = {(f.pred, f.args): f for f in interp.facts}
-    missing = [key for key in derived if key not in held]
+    missing = [f for f in derived if f not in interp.facts]
     if not missing:
         return interp
     if known is None:
         known = {}
     # a set, not a list: the frozenset copied from it is sized once for
     # all its facts, a smaller table than one grown fact by fact
-    facts = {known.setdefault(key, f) for key, f in held.items()}
-    facts.update(shared_facts(known, missing))
+    facts = {known.setdefault(f, f) for f in interp.facts}
+    facts.update(known.setdefault(f, f) for f in missing)
     return Interpretation(situation=interp.situation, source=interp.source,
                           label=interp.label, facts=frozenset(facts),
                           raw_events=events)
@@ -403,11 +381,11 @@ def _timing_cat(cfg: SymbolizationConfig, scale: str, ms: int) -> str:
 
 
 def _derive_cycles(events: Sequence[Event], dias_pred: str, sys_pred: str,
-                   name: str, cfg: SymbolizationConfig) -> list[FactKey]:
+                   name: str, cfg: SymbolizationConfig) -> list[Literal]:
     """cycle_abp(D, ampsd, S, ampds) for each diastole immediately followed
-    by a systole, as (pred, args) pairs; ampsd relates the previous systole
-    to D (undef if none), ampds relates D to S."""
-    out: list[FactKey] = []
+    by a systole; ampsd relates the previous systole to D (undef if none),
+    ampds relates D to S."""
+    out: list[Literal] = []
     prev_sys: Event | None = None
     for i, e in enumerate(events):
         if e.pred == dias_pred and i + 1 < len(events):
@@ -423,7 +401,7 @@ def _derive_cycles(events: Sequence[Event], dias_pred: str, sys_pred: str,
                              if p_amp is not None else "undef")
                 else:
                     ampsd = "undef"
-                out.append((name, (e.eid, ampsd, nxt.eid, ampds)))
+                out.append(Literal(name, (e.eid, ampsd, nxt.eid, ampds)))
         if e.pred == sys_pred:
             prev_sys = e
     return out

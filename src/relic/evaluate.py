@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from .data import Dataset, Interpretation
 from .dlab import DlabTemplate
 from .errors import UsageError
-from .learner import LearnerParams, learn_theory, train_accuracy
+from .learner import LearnerParams, Theory, learn_theory, train_accuracy
 from .logic import Clause, PredicateSchema, theory_covers
 from .multisource import (InterleavingConstraint, aggregate,
                           biased_multisource_learn, naive_bias)
@@ -86,12 +86,14 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
     biased_multisource_learn on the fold's training situations (on dataset
     itself for the full run); mono and naive modes run learn_theory on the
     held-out examples outside the test set, skipping with a warning each
-    class with no positive there.  A fold's warnings carry its number, the
-    full run's do not.  A fold is scored as it runs, on the held-out
-    examples outside its test set (in biased mode, the very examples its
-    pipeline learned from) and on its test examples; the rows pair those
-    scores with the full run's theory.  A fold's audit lists the
-    situations of its test examples under their source (AGG when
+    class with no positive there.  A fold whose training examples hold
+    fewer than two classes learns nothing (an empty theory) and warns; the
+    full run still raises on such data.  A fold's warnings carry its
+    number, the full run's do not.  A fold is scored as it runs, on the
+    held-out examples outside its test set (in biased mode, the very
+    examples its pipeline learned from) and on its test examples; the rows
+    pair those scores with the full run's theory.  A fold's audit lists
+    the situations of its test examples under their source (AGG when
     aggregated); biased mode first lists, per source, the fold's test
     situations with a view there.
     """
@@ -145,7 +147,11 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
         test_ids = frozenset(test_set)
         train = [e for e in held_out if e.situation not in test_ids]
         test = [e for e in held_out if e.situation in test_ids]
-        theory, warns, _ = learn(test_ids, train)
+        if len({e.label for e in train}) < 2:
+            theory, warns = Theory(), ["fewer than two classes to train on; "
+                                       "skipped"]
+        else:
+            theory, warns, _ = learn(test_ids, train)
         for label in classes:
             clauses = theory.clauses_for(label)
             tracc[label] += train_accuracy(clauses, label, train)

@@ -21,7 +21,7 @@ theta-subsumption with constraint satisfaction algorithms", 2004).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import UsageError
 
@@ -33,9 +33,12 @@ def is_variable(term: Term) -> bool:
     return term[:1].isupper()
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    """A predicate applied to an ordered tuple of terms."""
+class Literal(NamedTuple):
+    """A predicate applied to an ordered tuple of terms.
+
+    A named tuple: a literal equals, and hashes as, its (pred, args) pair,
+    so a ground fact is its own lookup key.
+    """
 
     pred: str
     args: tuple[Term, ...] = ()

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
-from .data import (Dataset, FactKey, Interpretation, shared_facts,
-                   succession_facts)
+from .data import Dataset, Interpretation, succession_facts
 from .dlab import (MAX_NESTING, ChoiceSpec, DlabTemplate, LiteralSpec,
                    choice, compile_template, inline, literal, nested)
 from .errors import InternalError, ParseError, UsageError
@@ -52,7 +51,7 @@ def aggregate(dataset: Dataset) -> AggregationResult:
     out: list[Interpretation] = []
     dropped: list[tuple[int, str]] = []
     merged_by = dataset.aggregated.setdefault(frozenset(sources), {})
-    known: dict[FactKey, Literal] = {}
+    known: dict[Literal, Literal] = {}
     for k in dataset.situations():
         merged = merged_by.get(k) or _merge(dataset, k, sources, known)
         if isinstance(merged, str):
@@ -65,10 +64,11 @@ def aggregate(dataset: Dataset) -> AggregationResult:
 
 
 def _merge(dataset: Dataset, k: int, sources: Sequence[str],
-           known: dict[FactKey, Literal]) -> Interpretation | str:
+           known: dict[Literal, Literal]) -> Interpretation | str:
     """Situation k's views on every source merged into one AGG example, or
     the reason it is dropped: "incomplete" or "inconsistent".  Each
-    cross-source suc/suci fact is the one known holds (shared_facts)."""
+    cross-source suc/suci fact is the one known holds for it
+    (known.setdefault(f, f))."""
     views = [dataset.get(s, k) for s in sources]
     if any(v is None for v in views):
         return "incomplete"
@@ -85,8 +85,8 @@ def _merge(dataset: Dataset, k: int, sources: Sequence[str],
                     f"event id {e.eid} appears on two sources in situation {k}")
     events = sorted((e for v in views for e in v.raw_events),
                     key=lambda e: (e.time, e.eid))
-    facts.update(shared_facts(
-        known, succession_facts(events, [origin[e.eid] for e in events])))
+    facts.update(known.setdefault(f, f) for f in
+                 succession_facts(events, [origin[e.eid] for e in events]))
     return Interpretation(situation=k, source="AGG", label=labels.pop(),
                           facts=frozenset(facts), raw_events=tuple(events))
 

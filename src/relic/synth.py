@@ -29,8 +29,8 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from .data import (Dataset, Event, FactKey, Interpretation,
-                   SymbolizationConfig, saturate)
+from .data import (Dataset, Event, Interpretation, SymbolizationConfig,
+                   saturate)
 from .dlab import (DlabTemplate, InlineSpec, choice, compile_template, inline,
                    literal, nested)
 from .errors import UsageError
@@ -263,7 +263,7 @@ def generate_dataset(cfg: GeneratorConfig) -> Dataset:
     One table, kept for this call only, is passed to every saturate call,
     so each distinct fact is one object across the whole dataset."""
     schema = cardiac_schema(cfg.mode)
-    known: dict[FactKey, Literal] = {}
+    known: dict[Literal, Literal] = {}
     interps: list[Interpretation] = []
     situation = 0
     for label in CLASSES:

@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,22 @@ def redundant_run():
     ds = generate_dataset(GeneratorConfig(seed=1, per_class=10,
                                           mode="redundant"))
     return ds, biased_multisource_learn(ds, monosource_biases("redundant"), [])
+
+
+def relabel(dataset, seed, frac):
+    """dataset with a drawn fraction of its situations given another class,
+    on every view alike (label noise that aggregation keeps)."""
+    from relic.data import Dataset
+
+    rng = random.Random(seed)
+    labels = {i.situation: i.label for i in dataset.interpretations}
+    drawn = rng.sample(sorted(labels), round(frac * len(labels)))
+    noisy = {k: rng.choice([c for c in dataset.classes if c != labels[k]])
+             for k in drawn}
+    return Dataset(tuple(replace(i, label=noisy[i.situation])
+                         if i.situation in noisy else i
+                         for i in dataset.interpretations),
+                   dataset.schema, dataset.classes)
 
 
 def random_grammar(rng: random.Random, max_depth: int = 3):

@@ -426,6 +426,7 @@ class TestSharing:
         assert _one_object_per_fact(shared)
         assert all(known[(f.pred, f.args)] is f
                    for i in shared for f in i.facts)
+        assert all(known[f] is f for i in shared for f in i.facts)
 
 
 class TestConsistency:

@@ -199,6 +199,38 @@ class TestSourceGap:
         assert "af" not in result.class_biases
 
 
+@pytest.fixture(scope="module")
+def seed1():
+    return generate_dataset(GeneratorConfig(seed=1, per_class=2))
+
+
+class TestOneClassFold:
+    """One sr situation (0) and two vt ones (8, 9) under leave-one-out:
+    the fold holding situation 0 out trains on vt alone.  It learns
+    nothing and warns, and the run goes on; a full run on one class still
+    fails."""
+
+    @pytest.mark.parametrize("mode, kwargs", [
+        ("naive", dict(naive_max_events=2)),
+        ("biased", dict(biases=monosource_biases("full"))),
+        ("mono", dict(source="ECG", biases=monosource_biases("full"))),
+    ], ids=["naive", "biased", "mono"])
+    def test_fold_is_skipped(self, seed1, mode, kwargs):
+        ds = seed1.restrict([0, 8, 9])
+        assert [ds.get("ECG", k).label for k in (0, 8, 9)] == \
+            ["sr", "vt", "vt"]
+        report = cross_validate(ds, mode, 3, **kwargs)
+        skipped = "fewer than two classes to train on; skipped"
+        assert [w for w in report.warnings if skipped in w] == \
+            [f"fold 0: {skipped}"]
+        rows = {r.label: r for r in report.rows}
+        assert rows["sr"].nodes > 0 and rows["vt"].nodes > 0
+        # fold 0's empty theory misses both vt training examples
+        assert rows["vt"].tracc == pytest.approx(2 / 3)
+        with pytest.raises(UsageError, match="two classes"):
+            cross_validate(seed1.restrict([8, 9]), mode, 2, **kwargs)
+
+
 class TestSmallPipelineCrossval:
     """2 examples per class, 2 folds: exercises the full biased CV path."""
 

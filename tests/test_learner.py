@@ -2,7 +2,7 @@ import random
 from functools import cache
 
 import pytest
-from conftest import random_grammar, random_ground_facts
+from conftest import random_grammar, random_ground_facts, relabel
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import brute_covers, reference_learn_class
@@ -270,6 +270,12 @@ def _cardiac(seed, per_class):
     return ds, {"naive": naive_bias(ds.schema, 2), **monosource_biases("full")}
 
 
+@cache
+def _noisy_cardiac(seed, per_class):
+    ds, biases = _cardiac(seed, per_class)
+    return relabel(ds, seed, 0.1), biases
+
+
 REFERENCE = settings(deadline=None, derandomize=True, database=None)
 
 
@@ -315,6 +321,26 @@ class TestReferenceLearner:
         bias = biases["naive" if bias_kind == "naive" else source]
         label = ds.classes[class_no]
         examples = ds.by_source(source)
+        params = LearnerParams(beam_width=width)
+        assert _learned_class(label, examples, bias, params) == \
+            reference_learn_class(label, examples, bias, params,
+                                  _fresh_index_covers())
+
+    @settings(REFERENCE, max_examples=55)
+    @given(st.integers(0, 5), st.integers(1, 2),
+           st.sampled_from(("ECG", "ABP")),
+           st.sampled_from(("authored", "naive")), st.integers(1, 4),
+           st.integers(0, 6))
+    def test_noisy_cardiac_data(self, seed, per_class, source, bias_kind,
+                                width, class_no):
+        """As test_cardiac_data, on data with a tenth of its situations
+        relabelled on every view; a class left with no positive on the
+        chosen source is skipped."""
+        ds, biases = _noisy_cardiac(seed, per_class)
+        bias = biases["naive" if bias_kind == "naive" else source]
+        label = ds.classes[class_no]
+        examples = ds.by_source(source)
+        assume(any(e.label == label for e in examples))
         params = LearnerParams(beam_width=width)
         assert _learned_class(label, examples, bias, params) == \
             reference_learn_class(label, examples, bias, params,

@@ -14,6 +14,18 @@ from relic.logic import (Clause, FactIndex, Literal, PredicateDecl,
                          standardize_apart, theory_covers, theta_subsumes)
 
 
+class TestLiteral:
+    """A fact is its own (pred, args) key: equal to the pair, hashed alike,
+    with its text and repr as before."""
+
+    def test_equals_its_pair(self):
+        assert lit("p", "a") == ("p", ("a",))
+        assert hash(lit("p", "a")) == hash(("p", ("a",)))
+        assert str(lit("p", "a", "b")) == "p(a,b)"
+        assert str(Literal("q")) == "q"
+        assert repr(lit("p", "a")) == "Literal(pred='p', args=('a',))"
+
+
 class TestApplySubstitution:
     def test_direct_replacement(self):
         assert apply_substitution(lit("p", "X", "normal"), {"X": "p7"}) \
