@@ -40,14 +40,21 @@ saturates many interpretations passes one table for the whole call, as
 :func:`relic.synth.generate_dataset` and the command line's loader do, and
 equal facts across all of them are one object.  The table changes which
 object holds an equal fact, never a result.
+
+An interpretation's facts are a frozenset, except an aggregated
+example's: a :class:`FactUnion`, which keeps its views' fact sets as
+parts instead of copying them into one merged set.  It equals, and
+hashes as, the frozenset of the same facts.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Sequence
 
 from .errors import ParseError, UsageError
 from .logic import FactIndex, Literal, PredicateSchema
@@ -74,14 +81,60 @@ class Event:
     attrs: tuple[str, ...] = ()
 
 
+class FactUnion(Set):
+    """A read-only set of facts kept as the disjoint frozensets it is the
+    union of, so the sets it is built from are shared, not copied.
+
+    A part that overlaps an earlier one is cut to the facts the earlier
+    ones lack; every other part is kept as the object it was given (a
+    frozenset; any other set is copied to one).  It equals, and hashes
+    as, the frozenset of the same facts; set operators return frozensets.
+    """
+
+    __slots__ = ("parts", "_len")
+
+    def __init__(self, parts: Iterable[AbstractSet[Literal]]):
+        kept: list[frozenset[Literal]] = []
+        for p in map(frozenset, parts):
+            if not all(p.isdisjoint(q) for q in kept):
+                p = p.difference(*kept)
+            kept.append(p)
+        self.parts = tuple(kept)
+        self._len = sum(map(len, kept))
+
+    def __contains__(self, fact) -> bool:
+        for p in self.parts:
+            if fact in p:
+                return True
+        return False
+
+    def __iter__(self):
+        return chain.from_iterable(self.parts)
+
+    def __len__(self) -> int:
+        return self._len
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, facts: Iterable[Literal]) -> frozenset[Literal]:
+        return frozenset(facts)
+
+    def __repr__(self) -> str:
+        return f"FactUnion({self.parts!r})"
+
+
 @dataclass(frozen=True)
 class Interpretation:
-    """One labelled example: a situation seen from one source."""
+    """One labelled example: a situation seen from one source.
+
+    facts is a frozenset, or for an aggregated example a FactUnion of its
+    views' fact sets and its cross-source facts."""
 
     situation: int
     source: str
     label: str
-    facts: frozenset[Literal]
+    facts: AbstractSet[Literal]
     raw_events: tuple[Event, ...] = ()
 
     def __post_init__(self):
@@ -117,21 +170,24 @@ def _line(text: str, pos: int) -> int:
     return text.count("\n", 0, pos) + 1
 
 
-def _fact(stmt: str) -> Literal | str:
-    """A fact statement's ground fact, or why it is not a fact."""
+def _fact(stmt: str, words: dict[str, str]) -> Literal | str:
+    """A fact statement's ground fact, or why it is not a fact.  Its
+    predicate and argument strings are the ones words holds for them
+    (words.setdefault(a, a))."""
     m = _FACT_RE.fullmatch(stmt)
     if m is None:
         return f"malformed fact {stmt!r}"
     pred, argtext = m.groups()
+    pred = words.setdefault(pred, pred)
     if argtext is None:
         return Literal(pred)
-    args = tuple(a.strip() for a in argtext.split(","))
+    args = [a.strip() for a in argtext.split(",")]
     for a in args:
         if not a:
             return f"empty argument in {stmt!r}"
         if not _ARG_RE.fullmatch(a):
             return f"non-ground or malformed argument {a!r} in fact {stmt!r}"
-    return Literal(pred, args)
+    return Literal(pred, tuple(map(words.setdefault, args, args)))
 
 
 def parse_model_file(text: str) -> list[Interpretation]:
@@ -143,10 +199,14 @@ def parse_model_file(text: str) -> list[Interpretation]:
     kept for this call only, maps each accepted fact's text and its
     blank-free spelling to the fact and event built for it: :func:`_fact`
     checks each distinct statement once, and equal facts (and events) are
-    one shared object.  Lines are only counted for a rejection."""
+    one shared object.  A second such table does the same for the facts'
+    predicate and argument strings.  A block's facts are gathered in a
+    set, so its frozenset is sized once.  Lines are only counted for a
+    rejection."""
     if "%" in text:
         text = _COMMENT_RE.sub("", text)
     known: dict[str, tuple[Literal, Event | None]] = {}
+    words: dict[str, str] = {}
     out: list[Interpretation] = []
     opened = None  # where the open block's begin(model) starts
     ident = None  # the open block's identifier, once read
@@ -168,7 +228,7 @@ def parse_model_file(text: str) -> list[Interpretation]:
         elif ident is not None:
             built = known.get(stmt)
             if built is None:
-                fact = _fact(stmt)
+                fact = _fact(stmt, words)
                 if isinstance(fact, str):
                     raise ParseError(fact, line=_line(text, m.start(1)))
                 pred, args = fact
@@ -179,7 +239,7 @@ def parse_model_file(text: str) -> list[Interpretation]:
                     if _is_event(args) else None)
                 known[stmt] = known[canon] = built
             fact, event = built
-            facts.append(fact)
+            facts.add(fact)
             if event is not None:
                 events.append(event)
         elif opened is not None:
@@ -188,7 +248,7 @@ def parse_model_file(text: str) -> list[Interpretation]:
                 raise ParseError(f"block identifier {stmt!r} does not match "
                                  "<class>_<situation>_<source>",
                                  line=_line(text, m.start(1)))
-            facts: list[Literal] = []
+            facts: set[Literal] = set()
             events: list[Event] = []
         else:
             raise ParseError(f"statement outside begin(model) block: {stmt!r}",
@@ -274,9 +334,13 @@ def _cat(value: int, bounds: tuple[int, int], names: tuple[str, str, str]) -> st
     return names[2]
 
 
+# Derived facts are built with tuple.__new__(Literal, (pred, args)): the
+# same value as Literal(pred, args), without the named tuple's Python-level
+# __new__, which costs about four times as much per fact.
+
 def _symbolize_event(e: Event, cfg: SymbolizationConfig) -> Literal:
     attrs = tuple(cfg.amp(int(a)) if a.isdecimal() else a for a in e.attrs)
-    return Literal(e.pred, (e.eid, *attrs))
+    return tuple.__new__(Literal, (e.pred, (e.eid, *attrs)))
 
 
 def _amp_of(e: Event) -> int | None:
@@ -300,10 +364,11 @@ def succession_facts(events: Sequence[Event],
     for j, earlier in enumerate(eids):
         for i in range(j + 1, min(j + 1 + SUC_WINDOW, n)):
             if origins is None or origins[i] != origins[j]:
-                out.append(Literal("suc", (eids[i], earlier)))
+                out.append(tuple.__new__(Literal, ("suc", (eids[i], earlier))))
     for i in range(1, n):
         if origins is None or origins[i] != origins[i - 1]:
-            out.append(Literal("suci", (eids[i], eids[i - 1])))
+            out.append(tuple.__new__(Literal,
+                                     ("suci", (eids[i], eids[i - 1]))))
     return out
 
 
@@ -343,7 +408,8 @@ def saturate(interp: Interpretation, cfg: SymbolizationConfig,
             stream = by_pred.get(decl.derive[1], [])
             for a, b in zip(stream, stream[1:]):
                 cat = _timing_cat(cfg, decl.scale, b.time - a.time)
-                derived.append(Literal(decl.name, (a.eid, b.eid, cat)))
+                derived.append(tuple.__new__(Literal,
+                                             (decl.name, (a.eid, b.eid, cat))))
         elif kind == "next":
             # both streams are time-ordered: one pointer walks the seconds
             # to the first one after each first
@@ -357,7 +423,8 @@ def saturate(interp: Interpretation, cfg: SymbolizationConfig,
                     break
                 b = seconds[j]
                 cat = _timing_cat(cfg, decl.scale, b.time - a.time)
-                derived.append(Literal(decl.name, (a.eid, b.eid, cat)))
+                derived.append(tuple.__new__(Literal,
+                                             (decl.name, (a.eid, b.eid, cat))))
         else:  # "cycle", the one kind left (PredicateDecl checks)
             derived.extend(_derive_cycles(events, decl.derive[1],
                                           decl.derive[2], decl.name, cfg))
@@ -401,7 +468,8 @@ def _derive_cycles(events: Sequence[Event], dias_pred: str, sys_pred: str,
                              if p_amp is not None else "undef")
                 else:
                     ampsd = "undef"
-                out.append(Literal(name, (e.eid, ampsd, nxt.eid, ampds)))
+                out.append(tuple.__new__(
+                    Literal, (name, (e.eid, ampsd, nxt.eid, ampds))))
         if e.pred == sys_pred:
             prev_sys = e
     return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
-from .data import Dataset, Interpretation, succession_facts
+from .data import Dataset, FactUnion, Interpretation, succession_facts
 from .dlab import (MAX_NESTING, ChoiceSpec, DlabTemplate, LiteralSpec,
                    choice, compile_template, inline, literal, nested)
 from .errors import InternalError, ParseError, UsageError
@@ -40,8 +40,10 @@ class AggregationResult:
 def aggregate(dataset: Dataset) -> AggregationResult:
     """Union per-source facts per situation, recomputing cross-source
     suc/suci on the merged timeline; inconsistent or incomplete situations
-    are dropped and reported.  A situation is merged once per source set
-    into dataset.aggregated, which every restriction of dataset shares.
+    are dropped and reported.  An AGG example's facts are a FactUnion that
+    keeps each view's fact set as a part instead of copying it.  A
+    situation is merged once per source set into dataset.aggregated, which
+    every restriction of dataset shares.
     Within one call, a cross-source suc/suci fact equal to one an earlier
     situation produced is that same object; the table is not kept."""
     sources = dataset.sources()
@@ -66,29 +68,30 @@ def aggregate(dataset: Dataset) -> AggregationResult:
 def _merge(dataset: Dataset, k: int, sources: Sequence[str],
            known: dict[Literal, Literal]) -> Interpretation | str:
     """Situation k's views on every source merged into one AGG example, or
-    the reason it is dropped: "incomplete" or "inconsistent".  Each
-    cross-source suc/suci fact is the one known holds for it
-    (known.setdefault(f, f))."""
+    the reason it is dropped: "incomplete" or "inconsistent".  Its facts
+    are a FactUnion whose parts are the views' own fact sets, in source
+    order, then the cross-source suc/suci facts; each of those is the one
+    known holds for it (known.setdefault(f, f))."""
     views = [dataset.get(s, k) for s in sources]
     if any(v is None for v in views):
         return "incomplete"
     labels = {v.label for v in views}
     if len(labels) != 1:
         return "inconsistent"
-    facts: set[Literal] = set()
     origin: dict[str, str] = {}
     for v in views:
-        facts |= v.facts
         for e in v.raw_events:
             if origin.setdefault(e.eid, v.source) != v.source:
                 raise UsageError(
                     f"event id {e.eid} appears on two sources in situation {k}")
     events = sorted((e for v in views for e in v.raw_events),
                     key=lambda e: (e.time, e.eid))
-    facts.update(known.setdefault(f, f) for f in
-                 succession_facts(events, [origin[e.eid] for e in events]))
+    # copied from a set, so the frozenset is sized once for all its facts
+    cross = frozenset({known.setdefault(f, f) for f in succession_facts(
+        events, [origin[e.eid] for e in events])})
     return Interpretation(situation=k, source="AGG", label=labels.pop(),
-                          facts=frozenset(facts), raw_events=tuple(events))
+                          facts=FactUnion((*(v.facts for v in views), cross)),
+                          raw_events=tuple(events))
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import operator
 
 import pytest
 from conftest import ECG_BLOCK, ABP_BLOCK
@@ -9,7 +10,8 @@ from oracles import brute_parse_model_file
 from relic import (GeneratorConfig, ParseError, SymbolizationConfig,
                    UsageError, aggregate, generate_dataset, parse_model_file,
                    write_model_file)
-from relic.data import SUC_WINDOW, Dataset, Event, Interpretation, saturate
+from relic.data import (SUC_WINDOW, Dataset, Event, FactUnion, Interpretation,
+                        saturate)
 from relic.logic import Literal, lit
 from relic.synth import cardiac_schema
 
@@ -427,6 +429,58 @@ class TestSharing:
         assert all(known[(f.pred, f.args)] is f
                    for i in shared for f in i.facts)
         assert all(known[f] is f for i in shared for f in i.facts)
+
+    def test_parse_shares_argument_strings(self):
+        text = ("begin(model).\nsr_1_ECG.\nqrs(r1,100,normal).\n"
+                "p(p1,50,normal).\nend(model).\n"
+                "begin(model).\nsr_2_ECG.\nqrs(r1,200,normal).\n"
+                "end(model).\n")
+        for interps in (parse_model_file(text), _read_back()):
+            words = [w for i in interps for f in i.facts
+                     for w in (f.pred, *f.args)]
+            assert len({id(w) for w in words}) == len(set(words))
+
+
+FACTS = [lit(p, a) for p in "pqr" for a in "abcd"]
+
+
+class TestFactUnion:
+    """A union of parts is, for every set use, the frozenset of their
+    facts, whether the parts overlap, are empty or are plain sets."""
+
+    @PROPERTY
+    @given(st.lists(st.one_of(st.frozensets(st.sampled_from(FACTS)),
+                              st.sets(st.sampled_from(FACTS))), max_size=4),
+           st.frozensets(st.sampled_from(FACTS)))
+    def test_equals_the_union_of_its_parts(self, parts, other):
+        union = FactUnion(parts)
+        want = frozenset().union(*parts)
+        assert len(union) == len(want)
+        listed = list(union)
+        assert len(listed) == len(set(listed)) and set(listed) == want
+        for f in (*FACTS, lit("s", "a"), lit("p")):
+            assert (f in union) == (f in want)
+        assert union == want and want == union
+        assert not union != want and not want != union
+        assert (union == other) == (other == union) == (want == other)
+        assert (union != other) == (other != union) == (want != other)
+        assert hash(union) == hash(want)
+        for op in (operator.or_, operator.and_, operator.sub):
+            for got, exp in ((op(union, other), op(want, other)),
+                             (op(other, union), op(other, want))):
+                assert type(got) is frozenset and got == exp
+        for i, p in enumerate(parts):
+            if isinstance(p, frozenset) and all(p.isdisjoint(q)
+                                                for q in parts[:i]):
+                assert union.parts[i] is p
+
+    def test_interpretation_on_a_union_equals_one_on_the_set(self):
+        a = frozenset({lit("p", "a"), lit("q", "b")})
+        b = frozenset({lit("q", "b"), lit("r", "c")})
+        on_union = Interpretation(1, "AGG", "sr", FactUnion((a, b)))
+        on_set = Interpretation(1, "AGG", "sr", a | b)
+        assert on_union == on_set and on_set == on_union
+        assert hash(on_union) == hash(on_set)
 
 
 class TestConsistency:

@@ -315,6 +315,27 @@ class TestAggregate:
         assert all((f.args[0] in ecg) != (f.args[1] in ecg)
                    for f in added_sucs)
 
+    def test_views_fact_sets_are_kept_as_parts(self):
+        ds = generate_dataset(GeneratorConfig(seed=1, per_class=1))
+        for e in aggregate(ds).examples:
+            views = [ds.get(s, e.situation) for s in ds.sources()]
+            assert all(e.facts.parts[i] is v.facts
+                       for i, v in enumerate(views))
+
+    def test_fact_on_both_views_counted_once(self):
+        note = lit("note", "x")
+        views = [_view(1, "ECG", "a", [Event("r1", "qrs", 5, ("normal",))]),
+                 _view(1, "ABP", "a", [Event("s1", "sys", 9, ("normal",))])]
+        views = [Interpretation(v.situation, v.source, v.label,
+                                v.facts | {note}, v.raw_events)
+                 for v in views]
+        [agg] = aggregate(Dataset(tuple(views), SCHEMA, ("a",))).examples
+        assert list(agg.facts).count(note) == 1
+        want = frozenset().union(*(v.facts for v in views),
+                                 {lit("suc", "s1", "r1"),
+                                  lit("suci", "s1", "r1")})
+        assert len(agg.facts) == len(want) and agg.facts == want
+
     def test_inconsistent_situation_dropped(self):
         left = parse_model_file(ECG_BLOCK)[0]
         right = parse_model_file(ABP_BLOCK)[0]
