@@ -29,7 +29,7 @@ end(model).
 
 ecg, abp = parse_model_file(TEXT)
 print(f"parsed {ecg.ident}: {len(ecg.facts)} stored facts, "
-      f"{len(ecg.raw_events)} events")
+      f"{len(ecg.events)} events")
 
 # Saturation adds everything the background knowledge can derive: the
 # timestamp-free event facts, suc/suci ordering, and timing categories.

@@ -6,7 +6,7 @@ language, top-down beam-search induction, and a biased multisource pipeline
 that synthesizes a compact aggregated-data bias from per-source rules.
 """
 
-from .data import (Dataset, Event, Interpretation, SymbolizationConfig,
+from .data import (Dataset, Interpretation, SymbolizationConfig,
                    parse_model_file, saturate, write_model_file)
 from .dlab import (DlabTemplate, Selection, choice, clause_of,
                    compile_template, count_space, enumerate_bodies,

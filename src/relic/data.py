@@ -15,21 +15,22 @@ may separate tokens and is otherwise ignored, but never joins them:
 file raises ParseError naming the line of the offending statement's first
 non-blank character (the command line prints it and exits 2).  The
 identifier line carries ``<class>_<situation>_<source>``.  A fact whose
-second argument is an integer is an event record (id, timestamp in ms,
-attributes); everything else is kept verbatim, derived facts included.
+second argument is an integer is an event (id, timestamp in ms,
+attributes), and no two events of a block may share an id; everything
+else is kept verbatim, derived facts included.  An event is only its
+fact: :attr:`Interpretation.events` finds them among the facts.
 :func:`write_model_file` writes every fact of an interpretation, so a
 saturated one is written with its derived facts (suc, suci, timing and
 amplitude categories, symbolized events) and read back with them.  The
-event records alone suffice: :func:`saturate` derives the rest, and
+events alone suffice: :func:`saturate` derives the rest, and
 saturating a file that already holds them adds nothing.
 
 One grammar reads the format, and the same check that accepts a fact
 names why it rejects one.  Event ids restart in every block, so the same
 statements recur from block to block.  One :func:`parse_model_file` call
-checks each distinct statement once, builds each distinct fact, and each
-distinct event, once and hands the same object to every block that
-repeats it.  The table doing so belongs to that call alone: nothing is
-kept between calls.
+checks each distinct statement once, builds each distinct fact once and
+hands the same object to every block that repeats it.  The table doing so
+belongs to that call alone: nothing is kept between calls.
 
 Saturation shares the same way.  A :class:`Literal` is a named tuple, so
 a fact is its own key: :func:`saturate` checks each derived fact against
@@ -50,10 +51,11 @@ hashes as, the frozenset of the same facts.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, pairwise
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Sequence
 
 from .errors import ParseError, UsageError
@@ -69,16 +71,6 @@ _COMMENT_RE = re.compile(r"%[^\n]*")
 # One statement, from its first to its last non-blank character, with the
 # blanks and empty statements in front of it and its terminating '.'.
 _STMT_RE = re.compile(r"[\s.]*([^\s.](?:[^.]*[^\s.])?)\s*\.")
-
-
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One time-stamped occurrence on a source."""
-
-    eid: str
-    pred: str
-    time: int
-    attrs: tuple[str, ...] = ()
 
 
 class FactUnion(Set):
@@ -129,25 +121,27 @@ class Interpretation:
     """One labelled example: a situation seen from one source.
 
     facts is a frozenset, or for an aggregated example a FactUnion of its
-    views' fact sets and its cross-source facts."""
+    views' fact sets and its cross-source facts.  Its events are the event
+    facts among them, found when first read and kept, as its index is."""
 
     situation: int
     source: str
     label: str
     facts: AbstractSet[Literal]
-    raw_events: tuple[Event, ...] = ()
-
-    def __post_init__(self):
-        ids = [e.eid for e in self.raw_events]
-        if len(set(ids)) != len(ids):
-            raise UsageError(
-                f"duplicate event ids in {self.label}_{self.situation}_{self.source}")
-        ordered = tuple(sorted(self.raw_events, key=lambda e: (e.time, e.eid)))
-        object.__setattr__(self, "raw_events", ordered)
 
     @cached_property
     def index(self) -> FactIndex:
         return FactIndex(self.facts)
+
+    @cached_property
+    def events(self) -> tuple[Literal, ...]:
+        """The event facts, ordered by (timestamp, id); raises UsageError
+        when two share an id."""
+        timeline = sorted((int(f.args[1]), f.args[0], f)
+                          for f in self.facts if _is_event(f.args))
+        if len({t[1] for t in timeline}) < len(timeline):
+            raise UsageError(f"duplicate event ids in {self.ident}")
+        return tuple(t[2] for t in timeline)
 
     @cached_property
     def coverage_memo(self) -> dict[str, bool]:
@@ -197,15 +191,16 @@ def parse_model_file(text: str) -> list[Interpretation]:
     loop reads each one outside a block, as a block's identifier or among
     its facts, telling begin(model) and end(model) apart first.  A table,
     kept for this call only, maps each accepted fact's text and its
-    blank-free spelling to the fact and event built for it: :func:`_fact`
-    checks each distinct statement once, and equal facts (and events) are
-    one shared object.  A second such table does the same for the facts'
-    predicate and argument strings.  A block's facts are gathered in a
-    set, so its frozenset is sized once.  Lines are only counted for a
-    rejection."""
+    blank-free spelling to the fact built for it and its event id, if it
+    is an event: :func:`_fact` checks each distinct statement once, and
+    equal facts are one shared object.  A second such table does the same
+    for the facts' predicate and argument strings.  A block's facts are
+    gathered in a set, so its frozenset is sized once; a block whose
+    events repeat an id, even in one repeated statement, raises
+    UsageError.  Lines are only counted for a rejection."""
     if "%" in text:
         text = _COMMENT_RE.sub("", text)
-    known: dict[str, tuple[Literal, Event | None]] = {}
+    known: dict[str, tuple[Literal, str | None]] = {}
     words: dict[str, str] = {}
     out: list[Interpretation] = []
     opened = None  # where the open block's begin(model) starts
@@ -221,9 +216,12 @@ def parse_model_file(text: str) -> list[Interpretation]:
             if ident is None:
                 raise ParseError("end(model) without identified block",
                                  line=_line(text, m.start(1)))
-            out.append(Interpretation(
+            interp = Interpretation(
                 situation=int(ident[2]), source=ident[3], label=ident[1],
-                facts=frozenset(facts), raw_events=tuple(events)))
+                facts=frozenset(facts))
+            if len(set(eids)) < len(eids):
+                raise UsageError(f"duplicate event ids in {interp.ident}")
+            out.append(interp)
             opened = ident = None
         elif ident is not None:
             built = known.get(stmt)
@@ -231,17 +229,15 @@ def parse_model_file(text: str) -> list[Interpretation]:
                 fact = _fact(stmt, words)
                 if isinstance(fact, str):
                     raise ParseError(fact, line=_line(text, m.start(1)))
-                pred, args = fact
                 # the same fact spelt with other blanks shares too
                 canon = str(fact)
                 built = known.get(canon) or (
-                    fact, Event(args[0], pred, int(args[1]), args[2:])
-                    if _is_event(args) else None)
+                    fact, fact.args[0] if _is_event(fact.args) else None)
                 known[stmt] = known[canon] = built
-            fact, event = built
+            fact, eid = built
             facts.add(fact)
-            if event is not None:
-                events.append(event)
+            if eid is not None:
+                eids.append(eid)
         elif opened is not None:
             ident = _IDENT_RE.match(stmt)
             if ident is None:
@@ -249,7 +245,7 @@ def parse_model_file(text: str) -> list[Interpretation]:
                                  "<class>_<situation>_<source>",
                                  line=_line(text, m.start(1)))
             facts: set[Literal] = set()
-            events: list[Event] = []
+            eids: list[str] = []
         else:
             raise ParseError(f"statement outside begin(model) block: {stmt!r}",
                              line=_line(text, m.start(1)))
@@ -336,15 +332,16 @@ def _cat(value: int, bounds: tuple[int, int], names: tuple[str, str, str]) -> st
 
 # Derived facts are built with tuple.__new__(Literal, (pred, args)): the
 # same value as Literal(pred, args), without the named tuple's Python-level
-# __new__, which costs about four times as much per fact.
+# __new__, which costs about four times as much per fact.  An event fact's
+# args are (id, timestamp, attributes...).
 
-def _symbolize_event(e: Event, cfg: SymbolizationConfig) -> Literal:
-    attrs = tuple(cfg.amp(int(a)) if a.isdecimal() else a for a in e.attrs)
-    return tuple.__new__(Literal, (e.pred, (e.eid, *attrs)))
+def _symbolize_event(e: Literal, cfg: SymbolizationConfig) -> Literal:
+    return tuple.__new__(Literal, (e.pred, (e.args[0], *(
+        cfg.amp(int(a)) if a.isdecimal() else a for a in e.args[2:]))))
 
 
-def _amp_of(e: Event) -> int | None:
-    for a in e.attrs:
+def _amp_of(e: Literal) -> int | None:
+    for a in e.args[2:]:
         if a.isdecimal():
             return int(a)
     return None
@@ -353,12 +350,12 @@ def _amp_of(e: Event) -> int | None:
 SUC_WINDOW = 8  # suc relates events at most this many positions apart
 
 
-def succession_facts(events: Sequence[Event],
+def succession_facts(eids: Sequence[str],
                      origins: Sequence[str] | None = None) -> list[Literal]:
-    """suc(later, earlier) for time-ordered events at most SUC_WINDOW
-    positions apart, and suci(next, previous) for neighbours.  With
-    origins (each event's source), only pairs from different sources."""
-    eids = [e.eid for e in events]
+    """suc(later, earlier) for the ids of time-ordered events at most
+    SUC_WINDOW positions apart, and suci(next, previous) for neighbours.
+    With origins (each event's source), only pairs from different
+    sources."""
     n = len(eids)
     out: list[Literal] = []
     for j, earlier in enumerate(eids):
@@ -375,11 +372,13 @@ def succession_facts(events: Sequence[Event],
 def saturate(interp: Interpretation, cfg: SymbolizationConfig,
              schema: PredicateSchema, *,
              known: dict[Literal, Literal] | None = None) -> Interpretation:
-    """Extend facts with everything the background knowledge derives.
+    """Extend facts with everything the background knowledge derives from
+    the interpretation's events (its event facts, in time order).
 
     Derived facts: timestamp-free event facts with symbolized attributes,
     suc/suci over the interpretation's timeline (succession_facts), the
-    schema's timing predicates, and cycle_abp.
+    schema's timing predicates, and cycle_abp; never an event, so the
+    result has the same events.
     Deterministic and idempotent; an event-free interpretation, or one
     that already holds everything derived (a saturated file read back), is
     returned unchanged: the same object, sharing its index and memo.
@@ -389,45 +388,39 @@ def saturate(interp: Interpretation, cfg: SymbolizationConfig,
     across the batch one object; None means a fresh table.  No table
     changes a result.
     """
-    events = interp.raw_events
+    events = interp.events
     if not events:
         return interp
+    eids = [e.args[0] for e in events]
+    times = [int(e.args[1]) for e in events]
 
     derived = [_symbolize_event(e, cfg) for e in events]
-    derived.extend(succession_facts(events))
+    derived.extend(succession_facts(eids))
 
-    by_pred: dict[str, list[Event]] = {}
-    for e in events:
-        by_pred.setdefault(e.pred, []).append(e)
+    # each predicate's events, as ascending positions on the timeline
+    by_pred: dict[str, list[int]] = {}
+    for i, e in enumerate(events):
+        by_pred.setdefault(e.pred, []).append(i)
 
     for decl in schema.decls:
         if not decl.derive:
             continue
         kind = decl.derive[0]
-        if kind == "consecutive":
-            stream = by_pred.get(decl.derive[1], [])
-            for a, b in zip(stream, stream[1:]):
-                cat = _timing_cat(cfg, decl.scale, b.time - a.time)
-                derived.append(tuple.__new__(Literal,
-                                             (decl.name, (a.eid, b.eid, cat))))
-        elif kind == "next":
-            # both streams are time-ordered: one pointer walks the seconds
-            # to the first one after each first
-            seconds = by_pred.get(decl.derive[2], [])
-            j = 0
-            for a in by_pred.get(decl.derive[1], []):
-                while (j < len(seconds)
-                       and (seconds[j].time, seconds[j].eid) <= (a.time, a.eid)):
-                    j += 1
-                if j == len(seconds):
-                    break
-                b = seconds[j]
-                cat = _timing_cat(cfg, decl.scale, b.time - a.time)
-                derived.append(tuple.__new__(Literal,
-                                             (decl.name, (a.eid, b.eid, cat))))
-        else:  # "cycle", the one kind left (PredicateDecl checks)
-            derived.extend(_derive_cycles(events, decl.derive[1],
+        if kind == "cycle":
+            derived.extend(_derive_cycles(events, times, decl.derive[1],
                                           decl.derive[2], decl.name, cfg))
+            continue
+        firsts = by_pred.get(decl.derive[1], [])
+        if kind == "consecutive":
+            pairs = zip(firsts, firsts[1:])
+        else:  # "next": each first with the first second after it
+            seconds = by_pred.get(decl.derive[2], [])
+            pairs = [(a, seconds[j]) for a in firsts
+                     if (j := bisect_right(seconds, a)) < len(seconds)]
+        timing = cfg.wave if decl.scale == "wave" else cfg.beat
+        derived.extend(tuple.__new__(Literal, (decl.name, (
+            eids[a], eids[b], timing(times[b] - times[a]))))
+            for a, b in pairs)
 
     missing = [f for f in derived if f not in interp.facts]
     if not missing:
@@ -439,40 +432,32 @@ def saturate(interp: Interpretation, cfg: SymbolizationConfig,
     facts = {known.setdefault(f, f) for f in interp.facts}
     facts.update(known.setdefault(f, f) for f in missing)
     return Interpretation(situation=interp.situation, source=interp.source,
-                          label=interp.label, facts=frozenset(facts),
-                          raw_events=events)
+                          label=interp.label, facts=frozenset(facts))
 
 
-def _timing_cat(cfg: SymbolizationConfig, scale: str, ms: int) -> str:
-    return cfg.wave(ms) if scale == "wave" else cfg.beat(ms)
-
-
-def _derive_cycles(events: Sequence[Event], dias_pred: str, sys_pred: str,
-                   name: str, cfg: SymbolizationConfig) -> list[Literal]:
+def _derive_cycles(events: Sequence[Literal], times: Sequence[int],
+                   dias_pred: str, sys_pred: str, name: str,
+                   cfg: SymbolizationConfig) -> list[Literal]:
     """cycle_abp(D, ampsd, S, ampds) for each diastole immediately followed
-    by a systole; ampsd relates the previous systole to D (undef if none),
-    ampds relates D to S."""
+    by a systole within the cycle window; ampsd relates the previous
+    systole to D, ampds relates D to S (undef where an amplitude is
+    unknown).  times holds each event's timestamp."""
     out: list[Literal] = []
-    prev_sys: Event | None = None
-    for i, e in enumerate(events):
-        if e.pred == dias_pred and i + 1 < len(events):
-            nxt = events[i + 1]
-            if (nxt.pred == sys_pred
-                    and nxt.time - e.time <= cfg.cycle_window_ms):
-                d_amp, s_amp = _amp_of(e), _amp_of(nxt)
-                ampds = (cfg.variation(abs(s_amp - d_amp))
-                         if d_amp is not None and s_amp is not None else "undef")
-                if prev_sys is not None and d_amp is not None:
-                    p_amp = _amp_of(prev_sys)
-                    ampsd = (cfg.variation(abs(d_amp - p_amp))
-                             if p_amp is not None else "undef")
-                else:
-                    ampsd = "undef"
-                out.append(tuple.__new__(
-                    Literal, (name, (e.eid, ampsd, nxt.eid, ampds))))
+    p_amp = None  # the last systole's amplitude
+    for (e, t), (nxt, t_nxt) in pairwise(zip(events, times)):
+        if (e.pred == dias_pred and nxt.pred == sys_pred
+                and t_nxt - t <= cfg.cycle_window_ms):
+            d_amp = _amp_of(e)
+            out.append(tuple.__new__(Literal, (name, (
+                e.args[0], _change(cfg, p_amp, d_amp),
+                nxt.args[0], _change(cfg, d_amp, _amp_of(nxt))))))
         if e.pred == sys_pred:
-            prev_sys = e
+            p_amp = _amp_of(e)
     return out
+
+
+def _change(cfg: SymbolizationConfig, a: int | None, b: int | None) -> str:
+    return "undef" if a is None or b is None else cfg.variation(abs(b - a))
 
 
 # --------------------------------------------------------------------------

@@ -80,18 +80,17 @@ def _merge(dataset: Dataset, k: int, sources: Sequence[str],
         return "inconsistent"
     origin: dict[str, str] = {}
     for v in views:
-        for e in v.raw_events:
-            if origin.setdefault(e.eid, v.source) != v.source:
-                raise UsageError(
-                    f"event id {e.eid} appears on two sources in situation {k}")
-    events = sorted((e for v in views for e in v.raw_events),
-                    key=lambda e: (e.time, e.eid))
+        for e in v.events:
+            if origin.setdefault(e.args[0], v.source) != v.source:
+                raise UsageError(f"event id {e.args[0]} appears on two "
+                                 f"sources in situation {k}")
+    eids = [i for _, i in sorted((int(e.args[1]), e.args[0])
+                                 for v in views for e in v.events)]
     # copied from a set, so the frozenset is sized once for all its facts
     cross = frozenset({known.setdefault(f, f) for f in succession_facts(
-        events, [origin[e.eid] for e in events])})
+        eids, [origin[i] for i in eids])})
     return Interpretation(situation=k, source="AGG", label=labels.pop(),
-                          facts=FactUnion((*(v.facts for v in views), cross)),
-                          raw_events=tuple(events))
+                          facts=FactUnion((*(v.facts for v in views), cross)))
 
 
 # --------------------------------------------------------------------------

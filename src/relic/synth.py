@@ -27,10 +27,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
-from .data import (Dataset, Event, Interpretation, SymbolizationConfig,
-                   saturate)
+from .data import Dataset, Interpretation, SymbolizationConfig, saturate
 from .dlab import (DlabTemplate, InlineSpec, choice, compile_template, inline,
                    literal, nested)
 from .errors import UsageError
@@ -182,9 +180,17 @@ def rhythm_template(label: str, cycles: int, pause: bool) -> RhythmTemplate:
     raise UsageError(f"unknown class {label!r}")
 
 
-def _master_events(label: str, situation: int, cfg: GeneratorConfig
-                   ) -> tuple[list[Event], list[Event]]:
-    """The underlying recording: (ecg_events, abp_events), unjittered order."""
+def _event(words: dict[str, str], pred: str, *args: str) -> Literal:
+    """The event fact pred(args), each string the one words holds for it."""
+    return Literal(words.setdefault(pred, pred),
+                   tuple(map(words.setdefault, args, args)))
+
+
+def _master_events(label: str, situation: int, cfg: GeneratorConfig,
+                   words: dict[str, str]) -> tuple[list[Literal], list[Literal]]:
+    """The underlying recording as event facts, (id, timestamp,
+    attributes...): (ecg_events, abp_events), unjittered order.  Each id,
+    timestamp and amplitude string is the one words holds for it."""
     rng = random.Random(f"{cfg.seed}:{label}:{situation}")
     jit = _TIMING_JITTER_MS
 
@@ -198,77 +204,76 @@ def _master_events(label: str, situation: int, cfg: GeneratorConfig
     for iv in tpl.intervals:
         qrs_times.append(qrs_times[-1] + j(iv))
 
-    ecg: list[Event] = []
+    ecg: list[Literal] = []
     for i, (kind, t) in enumerate(zip(tpl.beats, qrs_times)):
         shape = "abnormal" if kind == "V" else "normal"
-        ecg.append(Event(f"r{i}", "qrs", t, (shape,)))
+        ecg.append(_event(words, "qrs", f"r{i}", str(t), shape))
         if tpl.conducted_p and kind == "N":
-            ecg.append(Event(f"p{i}", "p", t - j(tpl.pr_ms), ("normal",)))
+            ecg.append(_event(words, "p", f"p{i}", str(t - j(tpl.pr_ms)),
+                              "normal"))
     if tpl.fibrillatory:
         k = 0
         for a, b in zip(qrs_times, qrs_times[1:]):
             t = a + 150
             while t < b - 120:
-                ecg.append(Event(f"f{k}", "p", t, ("abnormal",)))
+                ecg.append(_event(words, "p", f"f{k}", str(t), "abnormal"))
                 k += 1
                 t += 280 + rng.randint(-jit, jit)
 
-    abp: list[Event] = []
+    abp: list[Literal] = []
     for i, t in enumerate(qrs_times):
         d_t = t + 100 + rng.randint(-jit, jit)
         s_t = d_t + 150 + rng.randint(-jit, jit)
         d_amp = tpl.dias_amp + rng.randint(-_AMP_JITTER, _AMP_JITTER)
         s_amp = tpl.sys_amp[i] + rng.randint(-_AMP_JITTER, _AMP_JITTER)
-        abp.append(Event(f"d{i}", "dias", d_t, (str(d_amp),)))
-        abp.append(Event(f"s{i}", "sys", s_t, (str(s_amp),)))
+        abp.append(_event(words, "dias", f"d{i}", str(d_t), str(d_amp)))
+        abp.append(_event(words, "sys", f"s{i}", str(s_t), str(s_amp)))
     return ecg, abp
-
-
-def _as_interpretation(label: str, situation: int, source: str,
-                       events: Iterable[Event]) -> Interpretation:
-    events = tuple(events)
-    facts = frozenset(Literal(e.pred, (e.eid, str(e.time), *e.attrs))
-                      for e in events)
-    return Interpretation(situation=situation, source=source, label=label,
-                          facts=facts, raw_events=events)
 
 
 def generate_example(label: str, situation: int, cfg: GeneratorConfig
                      ) -> tuple[Interpretation, ...]:
     """Aligned unsaturated interpretations for one situation, one per source."""
+    return _views(label, situation, cfg, {})
+
+
+def _views(label: str, situation: int, cfg: GeneratorConfig,
+           words: dict[str, str]) -> tuple[Interpretation, ...]:
+    """generate_example, with the strings words holds."""
     if label not in CLASSES:
         raise UsageError(f"unknown class {label!r}")
-    ecg, abp = _master_events(label, situation, cfg)
+    ecg, abp = _master_events(label, situation, cfg, words)
     if cfg.mode == "full":
-        return (_as_interpretation(label, situation, "ECG", ecg),
-                _as_interpretation(label, situation, "ABP", abp))
-    if cfg.mode == "reduced":
-        slim_ecg = [Event(e.eid, "qrs", e.time) for e in ecg if e.pred == "qrs"]
-        slim_abp = [e for e in abp if e.pred == "sys"]
-        return (_as_interpretation(label, situation, "ECG", slim_ecg),
-                _as_interpretation(label, situation, "ABP", slim_abp))
-    if cfg.mode == "split":
-        pwaves = [Event(e.eid, "p", e.time) for e in ecg if e.pred == "p"]
-        qrs = [Event(e.eid, "qrs", e.time) for e in ecg if e.pred == "qrs"]
-        return (_as_interpretation(label, situation, "P", pwaves),
-                _as_interpretation(label, situation, "QRS", qrs))
-    twin = [Event(f"{e.eid}b", f"{e.pred}_b", e.time, e.attrs) for e in ecg]
-    return (_as_interpretation(label, situation, "ECG", ecg),
-            _as_interpretation(label, situation, "ECG2", twin))
+        views = {"ECG": ecg, "ABP": abp}
+    elif cfg.mode == "reduced":
+        views = {"ECG": [Literal("qrs", e.args[:2]) for e in ecg
+                         if e.pred == "qrs"],
+                 "ABP": [e for e in abp if e.pred == "sys"]}
+    elif cfg.mode == "split":
+        views = {s: [Literal(pred, e.args[:2]) for e in ecg if e.pred == pred]
+                 for s, pred in (("P", "p"), ("QRS", "qrs"))}
+    else:
+        views = {"ECG": ecg, "ECG2": [
+            _event(words, f"{e.pred}_b", f"{e.args[0]}b", *e.args[1:])
+            for e in ecg]}
+    return tuple(Interpretation(situation, source, label, frozenset(events))
+                 for source, events in views.items())
 
 
 def generate_dataset(cfg: GeneratorConfig) -> Dataset:
     """per_class aligned examples for each of the seven classes, saturated.
 
     One table, kept for this call only, is passed to every saturate call,
-    so each distinct fact is one object across the whole dataset."""
+    so each distinct fact is one object across the whole dataset; a second
+    does the same for the events' id, timestamp and amplitude strings."""
     schema = cardiac_schema(cfg.mode)
     known: dict[Literal, Literal] = {}
+    words: dict[str, str] = {}
     interps: list[Interpretation] = []
     situation = 0
     for label in CLASSES:
         for _ in range(cfg.per_class):
-            for view in generate_example(label, situation, cfg):
+            for view in _views(label, situation, cfg, words):
                 interps.append(saturate(view, cfg.symbolization, schema,
                                         known=known))
             situation += 1

@@ -8,9 +8,9 @@ matching routines, its fact-file scanner or the learner's shortcuts.
 from itertools import product
 from string import ascii_letters, ascii_lowercase, digits
 
-from relic.data import Event, Interpretation
+from relic.data import Interpretation
 from relic.dlab import parse_dlab, refine, start_selection, template_text
-from relic.errors import ParseError
+from relic.errors import ParseError, UsageError
 from relic.logic import Clause, Literal, clause, is_variable
 
 
@@ -137,11 +137,12 @@ def reference_learn_class(label, examples, bias, params, covers):
 def brute_parse_model_file(text):
     """Fact files read the plain way: drop each line's comment, split the
     text at every '.', strip each piece and check it with string methods.
-    An error names the line of the statement's first non-blank character."""
+    An error names the line of the statement's first non-blank character;
+    a block whose events repeat an id raises UsageError at its end(model)."""
     text = "\n".join(line.split("%", 1)[0] for line in text.split("\n"))
     pieces = text.split(".")
     out = []
-    block = None  # [line of begin, identifier or None, facts, events]
+    block = None  # [line of begin, identifier or None, facts, event ids]
     offset = 0
     for k, piece in enumerate(pieces):
         stmt = piece.strip()
@@ -161,10 +162,12 @@ def brute_parse_model_file(text):
             if block is None or block[1] is None:
                 raise ParseError("end(model) without identified block",
                                  line=line)
-            (label, situation, source), facts, events = block[1:]
+            (label, situation, source), facts, ids = block[1:]
+            if len(set(ids)) < len(ids):
+                raise UsageError(f"duplicate event ids in "
+                                 f"{label}_{situation}_{source}")
             out.append(Interpretation(situation=situation, source=source,
-                                      label=label, facts=frozenset(facts),
-                                      raw_events=tuple(events)))
+                                      label=label, facts=frozenset(facts)))
             block = None
         elif block is None:
             raise ParseError(f"statement outside begin(model) block: {stmt!r}",
@@ -176,7 +179,7 @@ def brute_parse_model_file(text):
             block[2].append(fact)
             a = fact.args
             if len(a) >= 2 and a[1].isdecimal() and not a[0].isdecimal():
-                block[3].append(Event(a[0], fact.pred, int(a[1]), a[2:]))
+                block[3].append(a[0])
     if block is not None:
         raise ParseError("missing end(model).", line=block[0])
     return out

@@ -232,7 +232,7 @@ def test_cross_validation():
     def example(label, situation, source, shape):
         facts = frozenset({lit("qrs", f"{source.lower()}{situation}", shape)})
         return Interpretation(situation=situation, source=source, label=label,
-                              facts=facts, raw_events=())
+                              facts=facts)
 
     interps = []
     for k, label in enumerate(["up", "down", "up", "down"]):

@@ -10,10 +10,10 @@ from oracles import brute_parse_model_file
 from relic import (GeneratorConfig, ParseError, SymbolizationConfig,
                    UsageError, aggregate, generate_dataset, parse_model_file,
                    write_model_file)
-from relic.data import (SUC_WINDOW, Dataset, Event, FactUnion, Interpretation,
+from relic.data import (SUC_WINDOW, Dataset, FactUnion, Interpretation,
                         saturate)
 from relic.logic import Literal, lit
-from relic.synth import cardiac_schema
+from relic.synth import MODES, cardiac_schema, generate_example
 
 CFG = SymbolizationConfig()
 SCHEMA = cardiac_schema("full")
@@ -27,7 +27,7 @@ class TestParse:
         assert (i.label, i.situation, i.source) == ("doublet", 3, "I")
         assert len(i.facts) == 7
         assert lit("qrs", "r8", "5638", "abnormal") in i.facts
-        assert [e.eid for e in i.raw_events] == ["p7", "r7", "r8", "r9"]
+        assert [e.args[0] for e in i.events] == ["p7", "r7", "r8", "r9"]
 
     def test_abp_block(self):
         i = parse_model_file(ABP_BLOCK)[0]
@@ -94,7 +94,7 @@ class TestParse:
         [qa] = [f for f in a.facts if f.pred == "qrs"]
         [qb] = [f for f in b.facts if f.pred == "qrs"]
         assert qa is qb
-        assert a.raw_events[0] is b.raw_events[0]
+        assert a.events[0] is qa
         [sa] = [f for f in a.facts if f.pred == "suc"]
         [sb] = [f for f in b.facts if f.pred == "suc"]
         assert sa == sb == lit("suc", "r2", "r1")
@@ -102,14 +102,19 @@ class TestParse:
 
     def test_repeated_event_in_one_block_still_rejected(self):
         text = "begin(model).\nsr_1_ECG.\nqrs(r1,5).\nqrs(r1,5).\nend(model)."
-        with pytest.raises(UsageError, match="duplicate event ids"):
+        with pytest.raises(UsageError, match="duplicate event ids in sr_1_ECG"):
+            parse_model_file(text)
+
+    def test_distinct_events_sharing_an_id_rejected(self):
+        text = "begin(model).\nsr_1_ECG.\nq(r1,5).\np(r1,6).\nend(model)."
+        with pytest.raises(UsageError, match="duplicate event ids in sr_1_ECG"):
             parse_model_file(text)
 
     def test_newline_separates_arguments(self):
         text = "begin(model).\nsr_1_ECG.\np(a,\n b).\nq(r1, % c\n 5).\nend(model)."
         i = parse_model_file(text)[0]
         assert i.facts == {lit("p", "a", "b"), lit("q", "r1", "5")}
-        assert i.raw_events == (Event("r1", "q", 5),)
+        assert i.events == (lit("q", "r1", "5"),)
 
 
 class TestWrite:
@@ -133,11 +138,7 @@ class TestWrite:
                  lit("qrs", "r1", "10"), lit("p", "p1", "5", "a"), lit("p"),
                  lit("p", "x"), lit("suc", "r2", "r1")}
         i = Interpretation(situation=4, source="ECG", label="sr",
-                           facts=frozenset(facts),
-                           raw_events=(Event("r2", "qrs", 10),
-                                       Event("z9", "p", 10),
-                                       Event("r1", "qrs", 10),
-                                       Event("p1", "p", 5, ("a",))))
+                           facts=frozenset(facts))
         assert write_model_file([i]) == (
             "begin(model).\nsr_4_ECG.\np(p1,5,a).\nqrs(r1,10).\n"
             "qrs(r2,10).\np(z9,10).\np.\np(x).\nsuc(r2,r1).\n"
@@ -211,6 +212,14 @@ def fact_files(draw):
     return text + draw(TAILS)
 
 
+def _timeline(facts):
+    """The event facts among facts, found and ordered the plain way: by
+    integer timestamp, then id."""
+    return sorted((f for f in facts if len(f.args) >= 2
+                   and f.args[1].isdecimal() and not f.args[0].isdecimal()),
+                  key=lambda f: (int(f.args[1]), f.args[0]))
+
+
 def _outcome(parse, text):
     try:
         return parse(text)
@@ -227,15 +236,12 @@ def interpretation_lists(draw):
             st.lists(st.sampled_from(["r1", "r2", "5026", "007", "0",
                                       "normal", "0a", "x_Y"]),
                      max_size=4).map(tuple)), max_size=8))
-        events = [Event(f.args[0], f.pred, int(f.args[1]), f.args[2:])
-                  for f in facts if len(f.args) >= 2
-                  and f.args[1].isdecimal() and not f.args[0].isdecimal()]
-        if len({e.eid for e in events}) < len(events):
+        ids = [e.args[0] for e in _timeline(facts)]
+        if len(set(ids)) < len(ids):
             continue
         out.append(Interpretation(
             situation=situation, source=draw(st.sampled_from(["ECG", "P"])),
-            label=draw(st.sampled_from(["sr", "a_b", "v1"])), facts=facts,
-            raw_events=tuple(events)))
+            label=draw(st.sampled_from(["sr", "a_b", "v1"])), facts=facts))
     return out
 
 
@@ -263,10 +269,10 @@ class TestParseProperties:
     def test_parse_matches_reference(self, text):
         got = _outcome(parse_model_file, text)
         assert got == _outcome(brute_parse_model_file, text)
-        if isinstance(got, list):  # one object per distinct fact and event
+        if isinstance(got, list):  # one object per distinct fact
             shared = {}
             for i in got:
-                for x in (*i.facts, *i.raw_events):
+                for x in i.facts:
                     assert shared.setdefault(x, x) is x
 
     @PROPERTY
@@ -275,17 +281,46 @@ class TestParseProperties:
         assert parse_model_file(write_model_file(interps)) == interps
 
 
+class TestEvents:
+    """An interpretation's events are its event facts by (timestamp, id),
+    and saturation never adds one."""
+
+    @staticmethod
+    def _check(interps, schema=SCHEMA):
+        for i in interps:
+            assert i.events == tuple(_timeline(i.facts))
+            assert saturate(i, CFG, schema).events == i.events
+
+    @PROPERTY
+    @given(interpretation_lists())
+    def test_random(self, interps):
+        self._check(interps)
+
+    @PROPERTY
+    @given(fact_files())
+    @example(ECG_BLOCK + ABP_BLOCK)
+    def test_parsed(self, text):
+        got = _outcome(parse_model_file, text)
+        if isinstance(got, list):
+            self._check(got)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_generated(self, mode):
+        cfg = GeneratorConfig(seed=2, per_class=1, mode=mode)
+        schema = cardiac_schema(mode)
+        self._check(generate_dataset(cfg).interpretations, schema)
+        self._check(generate_example("af", 0, cfg), schema)
+
+
 def _interp(events, label="sr", situation=1, source="ECG"):
-    facts = frozenset(Literal(e.pred, (e.eid, str(e.time), *e.attrs))
-                      for e in events)
     return Interpretation(situation=situation, source=source, label=label,
-                          facts=facts, raw_events=tuple(events))
+                          facts=frozenset(events))
 
 
 class TestSaturate:
     def test_two_qrs_short_interval(self):
-        i = _interp([Event("r1", "qrs", 1000, ("normal",)),
-                     Event("r2", "qrs", 1400, ("normal",))])
+        i = _interp([lit("qrs", "r1", "1000", "normal"),
+                     lit("qrs", "r2", "1400", "normal")])
         s = saturate(i, CFG, SCHEMA)
         assert lit("rr1", "r1", "r2", "short") in s.facts
         assert lit("suc", "r2", "r1") in s.facts
@@ -294,7 +329,7 @@ class TestSaturate:
 
     def test_suc_window(self):
         # suc reaches back SUC_WINDOW events and no further
-        i = _interp([Event(f"r{k}", "qrs", 1000 * k, ("normal",))
+        i = _interp([lit("qrs", f"r{k}", str(1000 * k), "normal")
                      for k in range(SUC_WINDOW + 3)])
         s = saturate(i, CFG, SCHEMA)
         gaps = {int(f.args[0][1:]) - int(f.args[1][1:])
@@ -306,22 +341,21 @@ class TestSaturate:
     @given(st.lists(st.tuples(st.sampled_from(["p", "qrs", "dias", "sys"]),
                               st.integers(0, 6)), max_size=12))
     def test_next_pairs_each_event_with_the_first_later_one(self, stream):
-        i = _interp([Event(f"e{k}", pred, 100 * t)
+        i = _interp([lit(pred, f"e{k}", str(100 * t))
                      for k, (pred, t) in enumerate(stream)])
-        events = i.raw_events
+        events = _timeline(i.facts)
         expected = set()
         for name, first, second in (("pr1", "p", "qrs"), ("ds1", "dias", "sys")):
-            for a in events:
-                later = [b for b in events if b.pred == second
-                         and (b.time, b.eid) > (a.time, a.eid)]
+            for n, a in enumerate(events):
+                later = [b for b in events[n + 1:] if b.pred == second]
                 if a.pred == first and later:
-                    expected.add((name, a.eid, later[0].eid))
+                    expected.add((name, a.args[0], later[0].args[0]))
         s = saturate(i, CFG, SCHEMA)
         assert {(f.pred, *f.args[:2]) for f in s.facts
                 if f.pred in ("pr1", "ds1")} == expected
 
     def test_single_event_no_pairwise(self):
-        i = _interp([Event("r1", "qrs", 1000, ("normal",))])
+        i = _interp([lit("qrs", "r1", "1000", "normal")])
         s = saturate(i, CFG, SCHEMA)
         assert not any(f.pred in ("suc", "suci", "rr1") for f in s.facts)
 
@@ -365,8 +399,7 @@ class TestSaturate:
         derived = sorted(read.facts - _bare(read).facts, key=str)
         gone = data.draw(st.sets(st.sampled_from(derived)))
         part = Interpretation(situation=read.situation, source=read.source,
-                              label=read.label, facts=read.facts - gone,
-                              raw_events=read.raw_events)
+                              label=read.label, facts=read.facts - gone)
         known = data.draw(st.sampled_from([None, {}]))
         out = saturate(part, CFG, SCHEMA, known=known)
         assert out.facts == read.facts
@@ -377,12 +410,12 @@ class TestSaturate:
         for i in ds.interpretations:
             sucs = {f.args for f in i.facts if f.pred == "suc"}
             sucis = [f for f in i.facts if f.pred == "suci"]
-            assert len(sucis) == max(0, len(i.raw_events) - 1)
+            assert len(sucis) == max(0, len(i.events) - 1)
             assert all(f.args in sucs for f in sucis)
 
     def test_empty_interpretation_unchanged(self):
         i = Interpretation(situation=1, source="P", label="vt",
-                           facts=frozenset(), raw_events=())
+                           facts=frozenset())
         assert saturate(i, CFG, SCHEMA) == i
 
     def test_amplitudes_symbolized(self):
@@ -394,7 +427,7 @@ class TestSaturate:
 
 def _bare(read):
     """read's events alone, without the facts derived from them."""
-    return _interp(read.raw_events, read.label, read.situation, read.source)
+    return _interp(read.events, read.label, read.situation, read.source)
 
 
 @functools.cache
@@ -527,8 +560,16 @@ class TestSymbolizationConfig:
 
 
 def test_duplicate_event_ids_rejected():
-    with pytest.raises(UsageError):
-        _interp([Event("r1", "qrs", 100, ()), Event("r1", "qrs", 200, ())])
+    """A hand-built interpretation whose events share an id is refused
+    when its events are first read: by saturate, or by aggregate."""
+    def views():
+        return (_interp([lit("qrs", "r1", "100"), lit("qrs", "r1", "200")]),
+                _interp([lit("sys", "s1", "150", "100")], source="ABP"))
+
+    with pytest.raises(UsageError, match="duplicate event ids in sr_1_ECG"):
+        saturate(views()[0], CFG, SCHEMA)
+    with pytest.raises(UsageError, match="duplicate event ids in sr_1_ECG"):
+        aggregate(Dataset(views(), SCHEMA, ("sr",)))
 
 
 def test_dataset_duplicate_view_rejected():

@@ -61,7 +61,7 @@ def _example(label, situation, source, shapes):
     facts = [lit("qrs", f"{source.lower()}{situation}_{i}", shape)
              for i, shape in enumerate(shapes)]
     return Interpretation(situation=situation, source=source, label=label,
-                          facts=frozenset(facts), raw_events=())
+                          facts=frozenset(facts))
 
 
 @pytest.fixture(scope="module")

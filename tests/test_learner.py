@@ -20,7 +20,7 @@ from relic.logic import FactIndex, clause, covers, lit
 
 def _example(label, situation, facts):
     return Interpretation(situation=situation, source="ECG", label=label,
-                          facts=frozenset(facts), raw_events=())
+                          facts=frozenset(facts))
 
 
 def _beat_example(label, situation, shapes):
@@ -196,8 +196,8 @@ def test_refinement_coverage_monotone():
 
 def _fresh(examples):
     """Copies of the examples with empty coverage memos."""
-    return [Interpretation(e.situation, e.source, e.label, e.facts,
-                           e.raw_events) for e in examples]
+    return [Interpretation(e.situation, e.source, e.label, e.facts)
+            for e in examples]
 
 
 def _learned(theory):

@@ -9,7 +9,7 @@ from oracles import brute_covers
 
 from relic import (GeneratorConfig, ParseError, UsageError, generate_dataset,
                    learn_theory, parse_model_file)
-from relic.data import (Dataset, Event, Interpretation, SymbolizationConfig,
+from relic.data import (Dataset, Interpretation, SymbolizationConfig,
                         saturate)
 from relic.dlab import (MAX_NESTING, count_space, enumerate_bodies, member,
                         parse_dlab, template_text)
@@ -289,8 +289,7 @@ class TestAggregate:
         left = parse_model_file(ECG_BLOCK)[0]
         right = parse_model_file(ABP_BLOCK)[0]
         right = Interpretation(situation=right.situation, source=right.source,
-                               label="doublet", facts=right.facts,
-                               raw_events=right.raw_events)
+                               label="doublet", facts=right.facts)
         return Dataset((left, right), SCHEMA, ("doublet",))
 
     def test_union_with_cross_links(self):
@@ -309,7 +308,7 @@ class TestAggregate:
         cross_sucis = {f for f in agg.facts if f.pred == "suci"} - stored
         assert cross_sucis == {lit("suci", "p7", "ps4")}
         # every added suc links an ECG event with an ABP one
-        ecg = {e.eid for e in parse_model_file(ECG_BLOCK)[0].raw_events}
+        ecg = {e.args[0] for e in parse_model_file(ECG_BLOCK)[0].events}
         added_sucs = {f for f in agg.facts if f.pred == "suc"} - stored
         assert added_sucs
         assert all((f.args[0] in ecg) != (f.args[1] in ecg)
@@ -324,10 +323,10 @@ class TestAggregate:
 
     def test_fact_on_both_views_counted_once(self):
         note = lit("note", "x")
-        views = [_view(1, "ECG", "a", [Event("r1", "qrs", 5, ("normal",))]),
-                 _view(1, "ABP", "a", [Event("s1", "sys", 9, ("normal",))])]
+        views = [_view(1, "ECG", "a", [lit("qrs", "r1", "5", "normal")]),
+                 _view(1, "ABP", "a", [lit("sys", "s1", "9", "normal")])]
         views = [Interpretation(v.situation, v.source, v.label,
-                                v.facts | {note}, v.raw_events)
+                                v.facts | {note})
                  for v in views]
         [agg] = aggregate(Dataset(tuple(views), SCHEMA, ("a",))).examples
         assert list(agg.facts).count(note) == 1
@@ -347,11 +346,11 @@ class TestAggregate:
         left = parse_model_file(ECG_BLOCK)[0]
         right = parse_model_file(ABP_BLOCK)[0]
         other = Interpretation(situation=4, source="I", label="sr",
-                               facts=frozenset(), raw_events=())
+                               facts=frozenset())
         good_left = Interpretation(situation=5, source="I", label="sr",
-                                   facts=frozenset(), raw_events=())
+                                   facts=frozenset())
         good_right = Interpretation(situation=5, source="ABP", label="sr",
-                                    facts=frozenset(), raw_events=())
+                                    facts=frozenset())
         ds = Dataset((left, right, other, good_left, good_right), SCHEMA,
                      ("doublet", "rs", "sr"))
         result = aggregate(ds)
@@ -368,9 +367,9 @@ class TestAggregate:
     def test_situations_share_cross_source_facts(self):
         # event ids restart in every situation, so merges repeat suc/suci
         def views(k):
-            return (_view(k, "ECG", "a", [Event("r1", "qrs", 5, ("normal",)),
-                                          Event("r2", "qrs", 20, ("normal",))]),
-                    _view(k, "ABP", "a", [Event("s1", "sys", 9, ("normal",))]))
+            return (_view(k, "ECG", "a", [lit("qrs", "r1", "5", "normal"),
+                                          lit("qrs", "r2", "20", "normal")]),
+                    _view(k, "ABP", "a", [lit("sys", "s1", "9", "normal")]))
 
         one, two = aggregate(Dataset(views(1) + views(2), SCHEMA,
                                      ("a",))).examples
@@ -500,10 +499,8 @@ class TestConstraintFileProperties:
 
 
 def _view(situation, source, label, events):
-    """An unsaturated view whose facts are its raw event records."""
-    facts = frozenset(Literal(e.pred, (e.eid, str(e.time), *e.attrs))
-                      for e in events)
-    return Interpretation(situation, source, label, facts, tuple(events))
+    """An unsaturated view whose facts are its event facts."""
+    return Interpretation(situation, source, label, frozenset(events))
 
 
 @st.composite
@@ -515,8 +512,9 @@ def event_streams(draw, source, prefix):
     for i in range(draw(st.integers(1, 3))):
         d = draw(st.sampled_from(decls))
         attrs = tuple(draw(st.sampled_from(dom)) for dom in d.domains)
-        events.append(Event(f"{prefix}{i}", d.name,
-                            draw(st.integers(0, 6)) * 250, attrs))
+        events.append(Literal(d.name, (f"{prefix}{i}",
+                                       str(draw(st.integers(0, 6)) * 250),
+                                       *attrs)))
     return events
 
 
@@ -531,7 +529,7 @@ def views_and_patterns(draw):
     view = draw(st.sampled_from(views))
     facts = draw(st.lists(st.sampled_from(sorted(view.facts, key=str)),
                           min_size=1, max_size=3, unique=True))
-    ids = draw(st.lists(st.sampled_from([e.eid for e in view.raw_events]),
+    ids = draw(st.lists(st.sampled_from([e.args[0] for e in view.events]),
                         max_size=3, unique=True))
     theta = {eid: f"V{i}" for i, eid in enumerate(ids)}
     body = tuple(Literal(f.pred, tuple(theta.get(a, a) for a in f.args))
@@ -561,8 +559,8 @@ def _summary(ds):
         result = aggregate(ds)
     except UsageError as exc:
         return str(exc), []
-    return ([(e.situation, e.label, e.facts, e.raw_events)
-             for e in result.examples], result.dropped), result.examples
+    return ([(e.situation, e.label, e.facts) for e in result.examples],
+            result.dropped), result.examples
 
 
 @st.composite
@@ -578,7 +576,7 @@ def restriction_chains(draw):
                                          "mislabelled")))
             if kind == "missing":
                 continue
-            events = [Event(f"{s}{k}_{i}", "sys", draw(st.integers(0, 3)))
+            events = [lit("sys", f"{s}{k}_{i}", str(draw(st.integers(0, 3))))
                       for i in range(draw(st.integers(0, 2)))]
             interps.append(_view(k, s, label if kind == "view"
                                  else {"a": "b", "b": "a"}[label], events))
@@ -590,7 +588,7 @@ def restriction_chains(draw):
 
 # situation 2 lacks X: dropped by the dataset, merged by its restriction
 # to {2}, which has lost source X
-_LOSES_X = Dataset(tuple(_view(k, s, "a", [Event(f"{s}{k}", "sys", k)])
+_LOSES_X = Dataset(tuple(_view(k, s, "a", [lit("sys", f"{s}{k}", str(k))])
                          for k, s in [(1, "ECG"), (1, "ABP"), (1, "X"),
                                       (2, "ECG"), (2, "ABP")]),
                    SCHEMA, ("a",))
@@ -628,8 +626,8 @@ class TestAggregateSharedByRestrictions:
             assert all(a is b for a, b in zip(examples_again, examples))
 
     def test_duplicate_event_id_raises_on_every_call(self):
-        ds = Dataset((_view(1, "ECG", "a", [Event("e1", "qrs", 5)]),
-                      _view(1, "ABP", "a", [Event("e1", "sys", 9)]),
+        ds = Dataset((_view(1, "ECG", "a", [lit("qrs", "e1", "5")]),
+                      _view(1, "ABP", "a", [lit("sys", "e1", "9")]),
                       _view(2, "ECG", "a", []), _view(2, "ABP", "a", [])),
                      SCHEMA, ("a",))
         for d in (ds, ds, ds.restrict([1]), ds):
