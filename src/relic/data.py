@@ -18,7 +18,9 @@ identifier line carries ``<class>_<situation>_<source>``.  A fact whose
 second argument is an integer is an event (id, timestamp in ms,
 attributes), and no two events of a block may share an id; everything
 else is kept verbatim, derived facts included.  An event is only its
-fact: :attr:`Interpretation.events` finds them among the facts.
+fact: :attr:`Interpretation.events` finds them among the facts, unless
+the parser or :func:`saturate`, which tell them apart already, handed
+them over.
 :func:`write_model_file` writes every fact of an interpretation, so a
 saturated one is written with its derived facts (suc, suci, timing and
 amplitude categories, symbolized events) and read back with them.  The
@@ -122,7 +124,9 @@ class Interpretation:
 
     facts is a frozenset, or for an aggregated example a FactUnion of its
     views' fact sets and its cross-source facts.  Its events are the event
-    facts among them, found when first read and kept, as its index is."""
+    facts among them, found when first read and kept, as its index is;
+    parse_model_file and saturate, which know them already, hand them to
+    what they build."""
 
     situation: int
     source: str
@@ -149,9 +153,28 @@ class Interpretation:
         learner fills it, and it lives exactly as long as the example."""
         return {}
 
+    @cached_property
+    def witnesses(self) -> dict[str, tuple[str, ...]]:
+        """Beside coverage_memo: for a body text the memo holds True, the
+        grounding found for it, as the values of the body's variables
+        sorted by name.  The learner extends it to cover the body's
+        additive refinements."""
+        return {}
+
     @property
     def ident(self) -> str:
         return f"{self.label}_{self.situation}_{self.source}"
+
+
+def _with_events(situation: int, source: str, label: str,
+                 facts: AbstractSet[Literal],
+                 events: tuple[Literal, ...]) -> Interpretation:
+    """An Interpretation whose events are known already: events, the event
+    facts among facts (the objects facts holds) by (timestamp, id), fill
+    its events slot, so reading them scans no fact."""
+    interp = Interpretation(situation, source, label, facts)
+    vars(interp)["events"] = events
+    return interp
 
 
 def _is_event(args: tuple[str, ...]) -> bool:
@@ -191,16 +214,17 @@ def parse_model_file(text: str) -> list[Interpretation]:
     loop reads each one outside a block, as a block's identifier or among
     its facts, telling begin(model) and end(model) apart first.  A table,
     kept for this call only, maps each accepted fact's text and its
-    blank-free spelling to the fact built for it and its event id, if it
-    is an event: :func:`_fact` checks each distinct statement once, and
-    equal facts are one shared object.  A second such table does the same
-    for the facts' predicate and argument strings.  A block's facts are
-    gathered in a set, so its frozenset is sized once; a block whose
-    events repeat an id, even in one repeated statement, raises
-    UsageError.  Lines are only counted for a rejection."""
+    blank-free spelling to the fact built for it and, if it is an event,
+    its (timestamp, id, fact) entry: :func:`_fact` checks each distinct
+    statement once, and equal facts are one shared object.  A second such
+    table does the same for the facts' predicate and argument strings.  A
+    block's facts are gathered in a set, so its frozenset is sized once,
+    and its sorted event entries are its events; a block whose events
+    repeat an id, even in one repeated statement, raises UsageError.
+    Lines are only counted for a rejection."""
     if "%" in text:
         text = _COMMENT_RE.sub("", text)
-    known: dict[str, tuple[Literal, str | None]] = {}
+    known: dict[str, tuple[Literal, tuple[int, str, Literal] | None]] = {}
     words: dict[str, str] = {}
     out: list[Interpretation] = []
     opened = None  # where the open block's begin(model) starts
@@ -216,10 +240,11 @@ def parse_model_file(text: str) -> list[Interpretation]:
             if ident is None:
                 raise ParseError("end(model) without identified block",
                                  line=_line(text, m.start(1)))
-            interp = Interpretation(
-                situation=int(ident[2]), source=ident[3], label=ident[1],
-                facts=frozenset(facts))
-            if len(set(eids)) < len(eids):
+            timeline.sort()
+            interp = _with_events(int(ident[2]), ident[3], ident[1],
+                                  frozenset(facts),
+                                  tuple(e[2] for e in timeline))
+            if len({e[1] for e in timeline}) < len(timeline):
                 raise UsageError(f"duplicate event ids in {interp.ident}")
             out.append(interp)
             opened = ident = None
@@ -231,13 +256,14 @@ def parse_model_file(text: str) -> list[Interpretation]:
                     raise ParseError(fact, line=_line(text, m.start(1)))
                 # the same fact spelt with other blanks shares too
                 canon = str(fact)
-                built = known.get(canon) or (
-                    fact, fact.args[0] if _is_event(fact.args) else None)
+                built = known.get(canon) or (fact, (
+                    int(fact.args[1]), fact.args[0], fact)
+                    if _is_event(fact.args) else None)
                 known[stmt] = known[canon] = built
-            fact, eid = built
+            fact, event = built
             facts.add(fact)
-            if eid is not None:
-                eids.append(eid)
+            if event is not None:
+                timeline.append(event)
         elif opened is not None:
             ident = _IDENT_RE.match(stmt)
             if ident is None:
@@ -245,7 +271,7 @@ def parse_model_file(text: str) -> list[Interpretation]:
                                  "<class>_<situation>_<source>",
                                  line=_line(text, m.start(1)))
             facts: set[Literal] = set()
-            eids: list[str] = []
+            timeline: list[tuple[int, str, Literal]] = []
         else:
             raise ParseError(f"statement outside begin(model) block: {stmt!r}",
                              line=_line(text, m.start(1)))
@@ -431,8 +457,9 @@ def saturate(interp: Interpretation, cfg: SymbolizationConfig,
     # all its facts, a smaller table than one grown fact by fact
     facts = {known.setdefault(f, f) for f in interp.facts}
     facts.update(known.setdefault(f, f) for f in missing)
-    return Interpretation(situation=interp.situation, source=interp.source,
-                          label=interp.label, facts=frozenset(facts))
+    return _with_events(interp.situation, interp.source, interp.label,
+                        frozenset(facts),
+                        tuple(map(known.__getitem__, events)))
 
 
 def _derive_cycles(events: Sequence[Literal], times: Sequence[int],

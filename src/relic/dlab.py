@@ -25,7 +25,7 @@ from math import comb, prod
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import BiasError, ParseError, UsageError
-from .logic import Clause, Literal, Term, body_key, clause
+from .logic import Clause, Literal, Term, body_key, clause, is_variable
 
 # --------------------------------------------------------------------------
 # build specs (programmatic construction) and compiled node table
@@ -536,20 +536,46 @@ def _reached_nodes(t: DlabTemplate,
 
 class Refinement(NamedTuple):
     """One child of refine: its selection, the body it induces (in tree
-    order), that body's text (the sorted literal texts joined by ", ") and
-    whether it is additive: its literal multiset contains the parent
-    selection's, so it covers no example the parent does not."""
+    order), that body's text (the sorted literal texts joined by ", "),
+    the body's variables sorted by name, and what it adds.  added is set
+    when the child is additive: its literal multiset contains the parent
+    selection's, so it covers no example the parent does not.  It is then
+    the multiset difference, in tree order, and None otherwise."""
 
     sel: Selection
     body: tuple[Literal, ...]
     text: str
-    additive: bool
+    variables: tuple[Term, ...]
+    added: tuple[Literal, ...] | None
+
+    @property
+    def additive(self) -> bool:
+        return self.added is not None
+
+
+def _variables(body: Sequence[Literal]) -> set[Term]:
+    return {a for b in body for a in b.args if is_variable(a)}
+
+
+def _added(body: Sequence[Literal],
+           base: Sequence[Literal]) -> tuple[Literal, ...]:
+    """body's literals beyond base, a sub-multiset of them, in body
+    order."""
+    rest = list(base)
+    out = []
+    for b in body:
+        if b in rest:
+            rest.remove(b)
+        else:
+            out.append(b)
+    return tuple(out)
 
 
 def refine(t: DlabTemplate, sel: Selection) -> list[Refinement]:
     """All minimal valid selections strictly extending sel whose induced
-    clause strictly grows, each with the body it induces, its text and
-    whether it only adds literals.
+    clause strictly grows, each with the body it induces, its text, its
+    variables and, when it only adds literals, the ones it adds
+    (Refinement).
 
     From an invalid empty selection (a root that needs picks) this yields
     the min-completions of the root (the most general clauses of the
@@ -576,7 +602,8 @@ def _refinements(t: DlabTemplate, sel: Selection) -> dict[tuple, Refinement]:
     reached = _reached_nodes(t, sel)
     if reached is None and sel.picks:
         raise UsageError("refine requires a valid or empty start selection")
-    base_key = body_key(induce_body(t, sel))
+    base = induce_body(t, sel)
+    base_key, base_vars = body_key(base), _variables(base)
     results: dict[tuple, Refinement] = {}
 
     def consider(candidate: Selection, additive: bool):
@@ -592,8 +619,14 @@ def _refinements(t: DlabTemplate, sel: Selection) -> dict[tuple, Refinement]:
             for k, deeper in _refinements(t, candidate).items():
                 results.setdefault(k, deeper)
         elif (key, candidate.picks) not in results:
+            if additive:
+                added = _added(body, base)
+                variables = base_vars | _variables(added)
+            else:
+                added, variables = None, _variables(body)
             results[key, candidate.picks] = Refinement(
-                candidate, body, ", ".join(key), additive)
+                candidate, body, ", ".join(key), tuple(sorted(variables)),
+                added)
 
     if reached is None:
         adds = not isinstance(t.node(t.root), TerminalNode)

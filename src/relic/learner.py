@@ -25,8 +25,19 @@ example's facts, which never change; not on the class label, the head or
 the fold.  The memo lives and dies with its example.  The folds of a
 cross-validation share it because Dataset.restrict keeps the same source
 Interpretations and multisource.aggregate merges a situation once for a
-dataset and all its restrictions.  A miss runs covers, which plans each
-body literal once per example, on the example's FactIndex.
+dataset and all its restrictions.
+
+Beside the memo, each example keeps a witness for every body the memo
+says covers it (Interpretation.witnesses): the grounding found, as the
+values of the body's variables sorted by name.  A miss on an additive
+child starts from its parent's witness on that example (the root's is
+empty): a literal the child adds with no row on the example means no
+cover; otherwise the matcher extends the witness over the added literals
+only.  Only when that extension fails does a full search of the body
+decide, since another grounding of the parent may extend where the kept
+one does not.  A non-additive child, or one whose parent kept no witness,
+gets the full search.  Both plan each literal once per example on its
+FactIndex, and SearchStats counts how each test was answered.
 
 A child that covers no positive is never acceptable and never enters the
 beam, so its negatives are not tested: it keeps its place among the
@@ -41,9 +52,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .data import Interpretation
-from .dlab import DlabTemplate, Selection, clause_of, refine, start_selection
+from .dlab import (DlabTemplate, Refinement, Selection, clause_of, refine,
+                   start_selection)
 from .errors import UsageError
-from .logic import Clause, covers, theory_covers
+from .logic import Clause, covers, grounding
 
 
 def accuracy(tp: int, tn: int, fp: int, fn: int) -> float:
@@ -68,10 +80,20 @@ class LearnerParams:
 
 @dataclass
 class SearchStats:
-    """nodes counts every selection produced by refine, kept or pruned."""
+    """nodes counts every selection produced by refine, kept or pruned.
+    lookups counts the search's coverage tests, one per (body, example)
+    pair, and each is answered one way: memo_hits by the example's
+    coverage memo; extended by extending the parent's witness over the
+    literals an additive child adds; rejected because one of those has no
+    row on the example; searched by a full matcher run."""
 
     nodes: int = 0
     time_ms: float = 0.0
+    lookups: int = 0
+    memo_hits: int = 0
+    extended: int = 0
+    rejected: int = 0
+    searched: int = 0
 
 
 @dataclass
@@ -104,31 +126,70 @@ class _Candidate:
     """One clause under consideration; equal clauses reached through
     different selections are pooled so every continuation stays reachable.
     canon is the body text: one search shares one head, so ordering by it
-    orders as canonical_text would."""
+    orders as canonical_text would.  variables are the body's, sorted by
+    name: the order of its witnesses' values."""
 
     sels: tuple[Selection, ...]
     clause: Clause
     canon: str
+    variables: tuple[str, ...]
     pos_cover: tuple[int, ...]
     neg_cover: tuple[int, ...]
     acc: float
 
 
-def _coverage(c: Clause, body: str, pool: Sequence[Interpretation],
-              among: Iterable[int]) -> tuple[int, ...]:
-    """The indices in among whose example c covers.  body is c's body
-    text; each example's coverage memo answers a body it has seen before,
-    under any class or fold, and covers runs only on a miss."""
+def _coverage(child: Refinement, parent: _Candidate,
+              pool: Sequence[Interpretation], among: Sequence[int],
+              stats: SearchStats) -> tuple[int, ...]:
+    """The indices in among whose example child's clause covers.  Each
+    example's coverage memo answers a body it has seen before, under any
+    class or fold; _ground answers a miss."""
+    text = child.text
     covered = []
     for i in among:
         e = pool[i]
         memo = e.coverage_memo
-        hit = memo.get(body)
+        hit = memo.get(text)
         if hit is None:
-            hit = memo[body] = covers(c, e.index)
+            found = _ground(child, parent, e, stats)
+            hit = memo[text] = found is not None
+            if hit:
+                e.witnesses[text] = tuple(map(found.__getitem__,
+                                              child.variables))
+        else:
+            stats.memo_hits += 1
         if hit:
             covered.append(i)
+    stats.lookups += len(among)
     return tuple(covered)
+
+
+def _ground(child: Refinement, parent: _Candidate, e: Interpretation,
+            stats: SearchStats) -> dict[str, str] | None:
+    """A grounding of child's body on e, or None if there is none.
+
+    An additive child holds its parent's body, so on an example its parent
+    covers it extends the parent's witness there (the root's is empty)
+    over the literals it adds.  That extension may fail where another
+    grounding of the parent extends, so only a full search then decides;
+    but when the parent binds no variable its witness is the only one,
+    and the extension was the full search.  A child whose added literal
+    has no row on e covers nothing there."""
+    index = e.index
+    added = child.added
+    if added is not None:
+        w = e.witnesses.get(parent.canon) if parent.canon else ()
+        if w is not None:
+            plan = index.plan(added)
+            if plan is None:
+                stats.rejected += 1
+                return None
+            found = grounding(plan, index, zip(parent.variables, w))
+            if found is not None or not w:
+                stats.extended += 1
+                return found
+    stats.searched += 1
+    return grounding(index.plan(child.body), index)
 
 
 def _beam_search(label: str, bias: DlabTemplate,
@@ -143,8 +204,8 @@ def _beam_search(label: str, bias: DlabTemplate,
     all_neg = tuple(range(n_neg))
     start = start_selection(bias)
     root = _Candidate(sels=(start,), clause=clause_of(bias, start, label),
-                      canon="", pos_cover=tuple(remaining), neg_cover=all_neg,
-                      acc=0.0)
+                      canon="", variables=(), pos_cover=tuple(remaining),
+                      neg_cover=all_neg, acc=0.0)
     head = root.clause.head
     beam = [root]
     expanded: set[Selection] = set()
@@ -165,20 +226,21 @@ def _beam_search(label: str, bias: DlabTemplate,
                         if child.sel not in known.sels:
                             known.sels = (*known.sels, child.sel)
                         continue
-                    c = Clause(head, child.body)
                     if child.additive:
-                        pos_cover = _coverage(c, text, pos, parent.pos_cover)
+                        pos_among = parent.pos_cover
                         neg_among = parent.neg_cover
                     else:
-                        pos_cover = _coverage(c, text, pos, remaining)
-                        neg_among = all_neg
+                        pos_among, neg_among = remaining, all_neg
+                    pos_cover = _coverage(child, parent, pos, pos_among,
+                                          stats)
                     # covering no positive, it never enters the beam
-                    neg_cover = (_coverage(c, text, neg, neg_among)
-                                 if pos_cover else ())
+                    neg_cover = (_coverage(child, parent, neg, neg_among,
+                                           stats) if pos_cover else ())
                     tp, fp = len(pos_cover), len(neg_cover)
                     acc = accuracy(tp, n_neg - fp, fp, n_pos - tp)
-                    grouped[text] = _Candidate((child.sel,), c, text,
-                                               pos_cover, neg_cover, acc)
+                    grouped[text] = _Candidate(
+                        (child.sel,), Clause(head, child.body), text,
+                        child.variables, pos_cover, neg_cover, acc)
 
         if not grouped:
             return None
@@ -251,7 +313,7 @@ def train_accuracy(clauses: Iterable[Clause], label: str,
     clauses = tuple(clauses)
     tp = tn = fp = fn = 0
     for e in examples:
-        covered = theory_covers(clauses, e.index)
+        covered = any(covers(c, e.index) for c in clauses)
         if e.label == label:
             tp += covered
             fn += not covered

@@ -7,26 +7,32 @@ All values here are immutable; the matching procedures are pure functions and
 safe to call concurrently (an index's plan cache only ever gains entries
 equal to what a fresh plan would give).
 
-Coverage, first-substitution search and theta-subsumption share one
-backtracking matcher over a FactIndex.  Each literal is planned once per
+grounding, coverage, first-substitution search and theta-subsumption share
+one backtracking matcher over a FactIndex.  Each literal is planned once per
 example: its argument slots and the rows its constants allow are kept on
-the example's FactIndex and reused by every later call.  The matcher then
-matches the most constrained literal first (the one with the fewest
-candidate rows under the current binding) and fails a search node as soon
-as any remaining literal has no candidate row, in the manner of
-constraint-satisfaction theta-subsumption (Maloberti & Sebag, "Fast
-theta-subsumption with constraint satisfaction algorithms", 2004).
+the example's FactIndex and reused by every later call, and
+FactIndex.plan gathers a body's steps, or finds at once that some literal
+has no row.  The matcher then matches the most constrained literal first
+(the one with the fewest candidate rows under the current binding) and
+fails a search node as soon as any remaining literal has no candidate row,
+in the manner of constraint-satisfaction theta-subsumption (Maloberti &
+Sebag, "Fast theta-subsumption with constraint satisfaction algorithms",
+2004).  grounding may start from bindings already made, such as a
+grounding found for a body the literals extend, and returns the grounding
+it finds; covers is whether it finds one for a clause's body.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import UsageError
 
 Term = str
 Substitution = dict[str, Term]
+# bindings a search starts from: a mapping or (variable, value) pairs
+Start = Mapping[str, Term] | Iterable[tuple[str, Term]]
 
 
 def is_variable(term: Term) -> bool:
@@ -165,6 +171,17 @@ class FactIndex:
         self._steps[literal] = step
         return step
 
+    def plan(self, literals: Iterable[Literal]) -> tuple[_Step, ...] | None:
+        """Each literal's step, in order; None as soon as one has none, so
+        no grounding of the literals lies inside these facts."""
+        plan = []
+        for literal in literals:
+            step = self.step(literal)
+            if step is None:
+                return None
+            plan.append(step)
+        return tuple(plan)
+
 
 _Column = dict[Term, tuple[tuple[Term, ...], ...]]
 
@@ -196,10 +213,12 @@ def _as_index(facts: Iterable[Literal] | FactIndex) -> FactIndex:
     return facts if isinstance(facts, FactIndex) else FactIndex(facts)
 
 
-def _match(literals: Sequence[Literal], index: FactIndex,
-           dynamic: bool) -> Substitution | None:
-    """The one backtracking search behind covers, find_covering_substitution
-    and theta_subsumes: a grounding of every literal inside index, or None.
+def _match(plan: tuple[_Step, ...] | None, index: FactIndex, dynamic: bool,
+           start: Start = ()) -> Substitution | None:
+    """The one backtracking search behind grounding, covers,
+    find_covering_substitution and theta_subsumes: a grounding of every
+    planned literal inside index that extends start, or None (at once when
+    plan is, as FactIndex.plan gives it for a literal with no row).
 
     Each literal is tried against the rows for its most selective bound
     position only: its constants are weighed once per index, in its step,
@@ -211,13 +230,9 @@ def _match(literals: Sequence[Literal], index: FactIndex,
     literals are matched left to right, so the first grounding found is
     the first in sorted-row order.
     """
-    plan = []
-    for literal in literals:
-        step = index.step(literal)
-        if step is None:
-            return None
-        plan.append(step)
-    binding: Substitution = {}
+    if plan is None:
+        return None
+    binding: Substitution = dict(start)
     column = index.column
 
     def rows(step: _Step) -> tuple[tuple[Term, ...], ...]:
@@ -271,26 +286,44 @@ def _match(literals: Sequence[Literal], index: FactIndex,
                 del binding[v]
         return False
 
-    return binding if solve(tuple(plan)) else None
+    found = solve(plan)
+    del solve  # its closure refers to itself: break the cycle for refcounting
+    return binding if found else None
+
+
+def grounding(plan: tuple[_Step, ...] | None, index: FactIndex,
+              start: Start = ()) -> Substitution | None:
+    """A grounding inside index of the literals FactIndex.plan planned
+    there that extends start, or None (at once for a None plan).
+
+    start binds some of their variables, as a mapping or (variable, value)
+    pairs, say to a grounding already found for a body they extend; the
+    result is a new dict that holds start's bindings too.  The literals are
+    matched most constrained first: at each step the one with the fewest
+    candidate rows under the current binding, failing as soon as any has
+    none.  Whether a grounding exists does not depend on that order, but
+    which one is found does.
+    """
+    return _match(plan, index, True, start)
 
 
 def covers(c: Clause, facts: Iterable[Literal] | FactIndex) -> bool:
     """True iff some grounding of the body lies entirely inside facts.
 
-    An empty body is vacuously covered.  The body is matched most
-    constrained literal first: at each step the literal with the fewest
-    candidate rows under the current binding, failing as soon as any
-    literal has none.  The result does not depend on that order; see
-    find_covering_substitution for the left-to-right variant.
+    An empty body is vacuously covered.  The body is planned on facts'
+    index and matched by grounding; see find_covering_substitution for the
+    left-to-right variant.
     """
-    return _match(c.body, _as_index(facts), dynamic=True) is not None
+    index = _as_index(facts)
+    return grounding(index.plan(c.body), index) is not None
 
 
 def find_covering_substitution(
         c: Clause, facts: Iterable[Literal] | FactIndex) -> Substitution | None:
     """First grounding found matching strictly left to right through the
     body (candidate facts in sorted order), or None."""
-    return _match(c.body, _as_index(facts), dynamic=False)
+    index = _as_index(facts)
+    return _match(index.plan(c.body), index, dynamic=False)
 
 
 def theory_covers(clauses: Iterable[Clause],
@@ -307,8 +340,8 @@ def theta_subsumes(c: Clause, d: Clause) -> bool:
     substitution, must occur among d's head and body literals.  d's
     variables are matched as if they were constants.
     """
-    return _match((c.head, *c.body), FactIndex((d.head, *d.body)),
-                  dynamic=True) is not None
+    index = FactIndex((d.head, *d.body))
+    return grounding(index.plan((c.head, *c.body)), index) is not None
 
 
 def standardize_apart(c1: Clause, c2: Clause) -> tuple[Clause, Clause]:

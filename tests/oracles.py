@@ -16,18 +16,22 @@ from relic.logic import Clause, Literal, clause, is_variable
 
 def brute_covers(c: Clause, facts) -> bool:
     """Try every assignment of body variables to constants in the facts."""
+    return any(True for _ in brute_groundings(c, facts))
+
+
+def brute_groundings(c: Clause, facts):
+    """Every assignment of the body's variables to constants in the facts
+    that grounds the whole body inside them, in sorted order; one empty
+    assignment for a ground body the facts hold."""
     facts = set(facts)
     constants = sorted({a for f in facts for a in f.args})
     variables = sorted({a for b in c.body for a in b.args if is_variable(a)})
-    if not variables:
-        return all(b in facts for b in c.body)
     for combo in product(constants, repeat=len(variables)):
         theta = dict(zip(variables, combo))
         grounded = [Literal(b.pred, tuple(theta.get(a, a) for a in b.args))
                     for b in c.body]
         if all(g in facts for g in grounded):
-            return True
-    return False
+            yield theta
 
 
 def brute_subsumes(c: Clause, d: Clause) -> bool:

@@ -311,6 +311,28 @@ class TestEvents:
         self._check(generate_dataset(cfg).interpretations, schema)
         self._check(generate_example("af", 0, cfg), schema)
 
+    def test_handed_over(self, monkeypatch):
+        """parse_model_file and saturate hand over the events they know
+        already: reading them scans no fact, and they are the facts' own
+        objects, equal to a fresh scan."""
+        import relic.data as data
+
+        generated = generate_dataset(GeneratorConfig(seed=2, per_class=1))
+        parsed = [*parse_model_file(ECG_BLOCK + ABP_BLOCK),
+                  *parse_model_file(write_model_file(
+                      generated.interpretations))]
+        saturated = [saturate(i, CFG, SCHEMA) for i in parsed[:2]]
+        assert not any(s is i for s, i in zip(saturated, parsed))
+
+        def scan(args):
+            raise AssertionError("events found by scanning the facts")
+
+        monkeypatch.setattr(data, "_is_event", scan)
+        for i in [*parsed, *saturated, *generated.interpretations]:
+            assert i.events == tuple(_timeline(i.facts))
+            held = {f: f for f in i.facts}
+            assert all(held[e] is e for e in i.events)
+
 
 def _interp(events, label="sr", situation=1, source="ECG"):
     return Interpretation(situation=situation, source=source, label=label,

@@ -10,12 +10,13 @@ from oracles import brute_covers, reference_learn_class
 from relic import (GeneratorConfig, UsageError, generate_dataset,
                    monosource_biases, naive_bias)
 from relic.data import Interpretation
-from relic.dlab import (choice, compile_template, inline, literal, refine,
-                        start_selection)
+from relic.dlab import (Refinement, choice, compile_template, inline, literal,
+                        refine, start_selection)
 from relic.errors import BiasError
-from relic.learner import (LearnerParams, accuracy, learn_class, learn_theory,
-                           train_accuracy)
-from relic.logic import FactIndex, clause, covers, lit
+from relic.learner import (LearnerParams, SearchStats, _Candidate, _coverage,
+                           accuracy, learn_class, learn_theory, train_accuracy)
+from relic.logic import (FactIndex, body_key, clause, covers, grounding,
+                         is_variable, lit)
 
 
 def _example(label, situation, facts):
@@ -205,6 +206,29 @@ def _learned(theory):
             for label, r in theory.per_class.items()}
 
 
+def _refinement(body, added=None):
+    """A child as refine hands it, for _coverage; additive when added is
+    given."""
+    variables = sorted({a for b in body for a in b.args if is_variable(a)})
+    return Refinement(start_selection(TINY_BIAS), tuple(body),
+                      ", ".join(body_key(body)), tuple(variables), added)
+
+
+def _parent(ref):
+    """ref as a beam candidate whose children _coverage tests."""
+    return _Candidate((ref.sel,), clause("x", ref.body), ref.text,
+                      ref.variables, (), (), 0.0)
+
+
+ROOT = _parent(_refinement(()))
+
+
+def _stats_sum(theory):
+    names = ("lookups", "memo_hits", "extended", "rejected", "searched")
+    return {n: sum(getattr(r.stats, n) for r in theory.per_class.values())
+            for n in names}
+
+
 class TestCoverageMemo:
     """Each example's coverage memo, shared by every class and search."""
 
@@ -219,32 +243,76 @@ class TestCoverageMemo:
         import relic.learner as learner
 
         examples, bias = ecg
-        cold = learn_theory(_fresh(examples), bias)
-        first = learn_theory(examples, bias)
-        assert all(e.coverage_memo for e in examples)
         calls = []
 
-        def counted(c, facts):
-            calls.append(c)
-            return covers(c, facts)
+        def counted(plan, index, start=()):
+            calls.append(plan)
+            return grounding(plan, index, start)
 
-        monkeypatch.setattr(learner, "covers", counted)
+        monkeypatch.setattr(learner, "grounding", counted)
+        cold = learn_theory(_fresh(examples), bias)
+        assert calls  # a cold memo's misses reach the matcher
+        first = learn_theory(examples, bias)
+        assert all(e.coverage_memo for e in examples)
+        calls.clear()
         second = learn_theory(examples, bias)
         assert calls == []  # every pair answered by the memo
         assert _learned(first) == _learned(second) == _learned(cold)
 
-    def test_entries_stay_with_their_example(self):
-        from relic.learner import _coverage
-        from relic.logic import body_key
+    def test_counters_account_for_every_lookup(self, ecg):
+        examples, bias = ecg
+        fresh = _fresh(examples)
+        cold = _stats_sum(learn_theory(fresh, bias))
+        assert cold["lookups"] == (cold["memo_hits"] + cold["extended"]
+                                   + cold["rejected"] + cold["searched"])
+        assert cold["extended"] and cold["searched"]
+        warm = _stats_sum(learn_theory(fresh, bias))
+        assert warm["lookups"] == cold["lookups"]
+        assert warm["memo_hits"] == warm["lookups"]
 
-        c = clause("x", (lit("qrs", "A", "abnormal"),))
-        body = ", ".join(body_key(c.body))
+    def test_entries_stay_with_their_example(self):
+        child = _refinement((lit("qrs", "A", "abnormal"),))
         hit = _beat_example("x", 0, ("abnormal",))
         miss = _beat_example("y", 1, ("normal",))
-        assert _coverage(c, body, [hit, miss], range(2)) == (0,)
-        assert _coverage(c, body, [miss, hit], range(2)) == (1,)
-        assert hit.coverage_memo == {body: True}
-        assert miss.coverage_memo == {body: False}
+        stats = SearchStats()
+        assert _coverage(child, ROOT, [hit, miss], range(2), stats) == (0,)
+        assert _coverage(child, ROOT, [miss, hit], range(2), stats) == (1,)
+        assert hit.coverage_memo == {child.text: True}
+        assert miss.coverage_memo == {child.text: False}
+        assert hit.witnesses == {child.text: ("r0",)}
+        assert miss.witnesses == {}
+        assert (stats.lookups, stats.memo_hits, stats.searched) == (4, 2, 2)
+
+    def test_failed_extension_falls_back_to_a_full_search(self):
+        """The parent's kept witness (A = r1) has no suc row to extend
+        over, but A = r2, B = r3 grounds the child: a failed extension
+        never means the child does not cover the example."""
+        qrs = lit("qrs", "A", "abnormal")
+        suc = lit("suc", "B", "A")
+        e = _example("x", 0, (lit("qrs", "r1", "abnormal"),
+                              lit("qrs", "r2", "abnormal"),
+                              lit("suc", "r3", "r2")))
+        stats = SearchStats()
+        first = _refinement((qrs,), added=(qrs,))
+        assert _coverage(first, ROOT, [e], [0], stats) == (0,)
+        assert e.witnesses[first.text] == ("r1",)
+        child = _refinement((qrs, suc), added=(suc,))
+        assert _coverage(child, _parent(first), [e], [0], stats) == (0,)
+        assert e.coverage_memo[child.text] is True
+        assert e.witnesses[child.text] == ("r2", "r3")
+        assert (stats.extended, stats.searched) == (1, 1)
+
+    def test_added_literal_without_rows_rejects(self):
+        qrs = lit("qrs", "A", "abnormal")
+        e = _beat_example("x", 0, ("abnormal",))
+        stats = SearchStats()
+        first = _refinement((qrs,), added=(qrs,))
+        _coverage(first, ROOT, [e], [0], stats)
+        child = _refinement((qrs, lit("p", "B", "normal")),
+                            added=(lit("p", "B", "normal"),))
+        assert _coverage(child, _parent(first), [e], [0], stats) == ()
+        assert e.coverage_memo[child.text] is False
+        assert (stats.extended, stats.rejected, stats.searched) == (1, 1, 0)
 
 
 def _learned_class(label, examples, bias, params):

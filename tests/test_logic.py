@@ -1,16 +1,18 @@
 import random
+from collections import Counter
 
 import pytest
 from conftest import ECG_BLOCK, random_ground_facts, random_small_clause
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import brute_covers, brute_first_substitution, brute_subsumes
+from oracles import (brute_covers, brute_first_substitution, brute_groundings,
+                     brute_subsumes)
 
 from relic import UsageError, parse_model_file
 from relic.logic import (Clause, FactIndex, Literal, PredicateDecl,
                          PredicateSchema, apply_substitution,
                          canonical_text, clause, covers,
-                         find_covering_substitution, lit,
+                         find_covering_substitution, grounding, lit,
                          standardize_apart, theory_covers, theta_subsumes)
 
 
@@ -259,6 +261,35 @@ class TestMatcherProperties:
         assert narrow == brute_covers(longer, facts)
         assert wide == brute_covers(shorter, facts)
         assert wide or not narrow
+
+    @PROPERTY
+    @given(sub_body_and_facts())
+    @example((CHAIN, EMPTY_BODY, CHAIN_FACTS))
+    @example((CHAIN, clause("x", CHAIN.body[:1]), CHAIN_FACTS))
+    # X = a, Y = b grounds q(X,Y) but does not extend over p(Y)
+    @example((CHAIN, clause("x", CHAIN.body[:1]),
+              frozenset({lit("q", "a", "b"), lit("q", "b", "c"),
+                         lit("p", "c"), lit("s")})))
+    def test_extension_with_fallback(self, case):
+        """From every grounding of a shorter body, extending it over the
+        longer body's extra literals, with a full search where that fails,
+        decides the longer body as the oracle does; an extension found is
+        a grounding of the longer body that keeps the shorter one's."""
+        longer, shorter, facts = case
+        extra = tuple(
+            (Counter(longer.body) - Counter(shorter.body)).elements())
+        want = brute_covers(longer, facts)
+        index = FactIndex(facts)
+        for start in brute_groundings(shorter, facts):
+            plan = index.plan(extra)
+            found = grounding(plan, index, start)
+            if found is not None:
+                assert start.items() <= found.items()
+                assert all(apply_substitution(b, found) in facts
+                           for b in longer.body)
+            got = found is not None or (plan is not None
+                                        and covers(longer, index))
+            assert got == want
 
     @PROPERTY
     @given(warm_index_cases())
