@@ -106,6 +106,8 @@ def _load_biases(pairs: list[str]) -> dict[str, object]:
         if "=" not in pair:
             raise UsageError(f"--bias expects SOURCE=FILE, got {pair!r}")
         source, path = pair.split("=", 1)
+        if source in biases:
+            raise UsageError(f"--bias given twice for source {source}")
         biases[source] = _load(path, parse_dlab)
     return biases
 

@@ -148,17 +148,11 @@ class Interpretation:
         return tuple(t[2] for t in timeline)
 
     @cached_property
-    def coverage_memo(self) -> dict[str, bool]:
-        """covers results on these facts, keyed by clause body text; the
-        learner fills it, and it lives exactly as long as the example."""
-        return {}
-
-    @cached_property
-    def witnesses(self) -> dict[str, tuple[str, ...]]:
-        """Beside coverage_memo: for a body text the memo holds True, the
-        grounding found for it, as the values of the body's variables
-        sorted by name.  The learner extends it to cover the body's
-        additive refinements."""
+    def coverage_memo(self) -> dict[str, tuple[str, ...] | None]:
+        """What the learner found on these facts, keyed by clause body
+        text: a body's witness when it covers them (the values of a
+        grounding, in the order of the body's variables sorted by name),
+        None when it does not.  It lives exactly as long as the example."""
         return {}
 
     @property

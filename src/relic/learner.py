@@ -27,17 +27,17 @@ cross-validation share it because Dataset.restrict keeps the same source
 Interpretations and multisource.aggregate merges a situation once for a
 dataset and all its restrictions.
 
-Beside the memo, each example keeps a witness for every body the memo
-says covers it (Interpretation.witnesses): the grounding found, as the
-values of the body's variables sorted by name.  A miss on an additive
-child starts from its parent's witness on that example (the root's is
-empty): a literal the child adds with no row on the example means no
-cover; otherwise the matcher extends the witness over the added literals
-only.  Only when that extension fails does a full search of the body
-decide, since another grounding of the parent may extend where the kept
-one does not.  A non-additive child, or one whose parent kept no witness,
-gets the full search.  Both plan each literal once per example on its
-FactIndex, and SearchStats counts how each test was answered.
+A memo entry holds the body's witness when it covers the example (the
+values of the grounding found, in the order of the body's variables
+sorted by name), and None when it does not.  An additive child is tested
+only where its parent covers, so its parent's witness is there (the
+root's is empty): a literal the child adds with no row on the example
+means no cover; otherwise the matcher extends the witness over the added
+literals only.  Only when that extension fails does a full search of the
+body decide, since another grounding of the parent may extend where the
+kept one does not.  A non-additive child gets the full search.  Both
+plan each literal once per example on its FactIndex, and SearchStats
+counts how each test was answered.
 
 A child that covers no positive is never acceptable and never enters the
 beam, so its negatives are not tested: it keeps its place among the
@@ -83,9 +83,9 @@ class SearchStats:
     """nodes counts every selection produced by refine, kept or pruned.
     lookups counts the search's coverage tests, one per (body, example)
     pair, and each is answered one way: memo_hits by the example's
-    coverage memo; extended by extending the parent's witness over the
-    literals an additive child adds; rejected because one of those has no
-    row on the example; searched by a full matcher run."""
+    coverage memo; extended by extending the parent's witness, its memo
+    entry, over the literals an additive child adds; rejected because one
+    of those has no row on the example; searched by a full matcher run."""
 
     nodes: int = 0
     time_ms: float = 0.0
@@ -127,7 +127,7 @@ class _Candidate:
     different selections are pooled so every continuation stays reachable.
     canon is the body text: one search shares one head, so ordering by it
     orders as canonical_text would.  variables are the body's, sorted by
-    name: the order of its witnesses' values."""
+    name: the order of a witness's values."""
 
     sels: tuple[Selection, ...]
     clause: Clause
@@ -143,22 +143,22 @@ def _coverage(child: Refinement, parent: _Candidate,
               stats: SearchStats) -> tuple[int, ...]:
     """The indices in among whose example child's clause covers.  Each
     example's coverage memo answers a body it has seen before, under any
-    class or fold; _ground answers a miss."""
+    class or fold; _ground answers a miss, and the memo keeps its witness
+    (None for no cover)."""
     text = child.text
     covered = []
     for i in among:
         e = pool[i]
         memo = e.coverage_memo
-        hit = memo.get(text)
-        if hit is None:
-            found = _ground(child, parent, e, stats)
-            hit = memo[text] = found is not None
-            if hit:
-                e.witnesses[text] = tuple(map(found.__getitem__,
-                                              child.variables))
-        else:
+        if text in memo:
             stats.memo_hits += 1
-        if hit:
+            witness = memo[text]
+        else:
+            found = _ground(child, parent, e, stats)
+            witness = memo[text] = (
+                None if found is None
+                else tuple(map(found.__getitem__, child.variables)))
+        if witness is not None:
             covered.append(i)
     stats.lookups += len(among)
     return tuple(covered)
@@ -168,26 +168,25 @@ def _ground(child: Refinement, parent: _Candidate, e: Interpretation,
             stats: SearchStats) -> dict[str, str] | None:
     """A grounding of child's body on e, or None if there is none.
 
-    An additive child holds its parent's body, so on an example its parent
-    covers it extends the parent's witness there (the root's is empty)
-    over the literals it adds.  That extension may fail where another
-    grounding of the parent extends, so only a full search then decides;
-    but when the parent binds no variable its witness is the only one,
-    and the extension was the full search.  A child whose added literal
-    has no row on e covers nothing there."""
+    An additive child is tested only on examples its parent covers, so
+    e's memo holds the parent's witness there (the root's is empty), and
+    the child extends it over the literals it adds.  That extension may
+    fail where another grounding of the parent extends, so only a full
+    search then decides; but when the parent binds no variable its
+    witness is the only one, and the extension was the full search.  A
+    child whose added literal has no row on e covers nothing there."""
     index = e.index
     added = child.added
     if added is not None:
-        w = e.witnesses.get(parent.canon) if parent.canon else ()
-        if w is not None:
-            plan = index.plan(added)
-            if plan is None:
-                stats.rejected += 1
-                return None
-            found = grounding(plan, index, zip(parent.variables, w))
-            if found is not None or not w:
-                stats.extended += 1
-                return found
+        plan = index.plan(added)
+        if plan is None:
+            stats.rejected += 1
+            return None
+        w = e.coverage_memo[parent.canon] if parent.canon else ()
+        found = grounding(plan, index, zip(parent.variables, w))
+        if found is not None or not w:
+            stats.extended += 1
+            return found
     stats.searched += 1
     return grounding(index.plan(child.body), index)
 

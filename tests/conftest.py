@@ -91,6 +91,39 @@ def relabel(dataset, seed, frac):
                    dataset.schema, dataset.classes)
 
 
+def random_two_source(seed: int):
+    """A random two-source cardiac dataset: 8 situations over 3 labels,
+    each with 2-6 p/qrs events of random shape and 2-6 dias/sys events of
+    random amplitude, at random times, saturated with the full schema.
+    Unlike the generator's data, the seed moves what is learned."""
+    from relic.data import (Dataset, Interpretation, SymbolizationConfig,
+                            saturate)
+    from relic.logic import Literal
+    from relic.synth import cardiac_schema
+
+    rng = random.Random(seed)
+    schema = cardiac_schema("full")
+    labels = ("a", "b", "c")
+
+    def events(preds, prefix, attribute):
+        return frozenset(
+            Literal(rng.choice(preds), (f"{prefix}{i}",
+                                        str(rng.randrange(0, 4000)),
+                                        attribute()))
+            for i in range(rng.randint(2, 6)))
+
+    interps = []
+    for k in range(8):
+        label = rng.choice(labels)
+        ecg = events(("p", "qrs"), "e", lambda: rng.choice(("normal",
+                                                             "abnormal")))
+        abp = events(("dias", "sys"), "a", lambda: str(rng.randint(50, 160)))
+        for source, facts in (("ECG", ecg), ("ABP", abp)):
+            interps.append(saturate(Interpretation(k, source, label, facts),
+                                    SymbolizationConfig(), schema))
+    return Dataset(tuple(interps), schema, labels)
+
+
 def random_grammar(rng: random.Random, max_depth: int = 3):
     """A random DLAB spec tree with a modest search space."""
     from relic.dlab import choice, inline, literal

@@ -162,6 +162,20 @@ def test_bad_bias_pair_exit_code(fact_dir):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["learn-biased"], ["crossval", "--folds", "2", "--mode", "biased"]],
+    ids=["learn-biased", "crossval"])
+def test_repeated_bias_source_usage_error(fact_dir, bias_dir, capsys,
+                                          command):
+    ecg = bias_dir / "ECG.dlab"
+    rc = main([*command, "--bias", f"ECG={ecg}", "--bias", f"ECG={ecg}",
+               "--bias", f"ABP={bias_dir / 'ABP.dlab'}",
+               str(fact_dir / "ECG.facts"), str(fact_dir / "ABP.facts")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: --bias given twice for source ECG\n"
+
+
 def test_empty_data_usage_error(tmp_path, bias_dir):
     empty = tmp_path / "empty.facts"
     empty.write_text("")

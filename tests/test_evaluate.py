@@ -1,6 +1,9 @@
 from dataclasses import replace
 
 import pytest
+from conftest import DEFAULT_CONSTRAINTS, random_two_source
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relic import (GeneratorConfig, InterleavingConstraint, UsageError,
                    generate_dataset, monosource_biases)
@@ -231,6 +234,16 @@ class TestOneClassFold:
             cross_validate(seed1.restrict([8, 9]), mode, 2, **kwargs)
 
 
+def _passes(result):
+    """A pipeline run's learned clauses, nodes and completeness per class,
+    for each pass."""
+    return {name: {label: ([str(c) for c in r.clauses], r.stats.nodes,
+                           r.complete)
+                   for label, r in theory.per_class.items()}
+            for name, theory in (("agg", result.theory),
+                                 *result.mono.items())}
+
+
 class TestSmallPipelineCrossval:
     """2 examples per class, 2 folds: exercises the full biased CV path."""
 
@@ -300,15 +313,82 @@ class TestSmallPipelineCrossval:
         fresh = biased_multisource_learn(generate_dataset(config),
                                          monosource_biases("full"),
                                          constraints)
+        assert _passes(again) == _passes(fresh)
 
-        def learned(result):
-            return {name: {label: ([str(c) for c in r.clauses],
-                                   r.stats.nodes, r.complete)
-                           for label, r in theory.per_class.items()}
-                    for name, theory in (("agg", result.theory),
-                                         *result.mono.items())}
+    def test_search_counters_pinned(self, monkeypatch):
+        """The search counters of a seed-1 5-fold biased cross-validation,
+        summed over the final and monosource theories of its six pipeline
+        runs, as recorded: how each coverage test is answered is part of
+        the learner's contract, not only what it learns."""
+        ds = generate_dataset(GeneratorConfig(seed=1, per_class=3))
+        runs = []
+        learn = evaluate.biased_multisource_learn
 
-        assert learned(again) == learned(fresh)
+        def keep(*args, **kwargs):
+            result = learn(*args, **kwargs)
+            runs.append(result)
+            return result
+
+        monkeypatch.setattr(evaluate, "biased_multisource_learn", keep)
+        cross_validate(ds, "biased", 5, biases=monosource_biases("full"),
+                       constraints=[InterleavingConstraint("ABP", "dias",
+                                                           "sys")])
+        assert len(runs) == 6
+        names = ("nodes", "lookups", "memo_hits", "extended", "rejected",
+                 "searched")
+        totals = dict.fromkeys(names, 0)
+        for result in runs:
+            for theory in (result.theory, *result.mono.values()):
+                for r in theory.per_class.values():
+                    for n in names:
+                        totals[n] += getattr(r.stats, n)
+        assert totals == {"nodes": 9901, "lookups": 43856,
+                          "memo_hits": 37169, "extended": 2380,
+                          "rejected": 3012, "searched": 1295}
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_random_folds_learn_what_a_fresh_pipeline_learns(seed, constrained):
+    """On random two-source data, each pipeline run of a biased
+    cross-validation, folds and full run alike, learns what a pipeline
+    learns on a fresh, unshared copy of its training data (new
+    Interpretations, a new Dataset, new biases), or raises the same
+    UsageError: sharing coverage memos, aggregated examples and class
+    biases across the family changes nothing."""
+    ds = random_two_source(seed)
+    constraints = DEFAULT_CONSTRAINTS if constrained else []
+    runs = []
+    learn = evaluate.biased_multisource_learn
+
+    def keep(dataset, *args, **kwargs):
+        try:
+            result = learn(dataset, *args, **kwargs)
+        except UsageError as err:
+            runs.append((dataset, str(err)))
+            raise
+        runs.append((dataset, _passes(result)))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "biased_multisource_learn", keep)
+        try:
+            cross_validate(ds, "biased", 2, biases=monosource_biases("full"),
+                           constraints=constraints)
+        except UsageError:
+            pass
+    assert runs
+    for dataset, outcome in runs:
+        fresh = Dataset(tuple(Interpretation(i.situation, i.source, i.label,
+                                             i.facts)
+                              for i in dataset.interpretations),
+                        dataset.schema, dataset.classes)
+        try:
+            again = _passes(biased_multisource_learn(
+                fresh, monosource_biases("full"), constraints))
+        except UsageError as err:
+            again = str(err)
+        assert again == outcome
 
 
 # Every mode's report for 3 folds over generate_dataset(seed=2, per_class=2,

@@ -15,8 +15,8 @@ from relic.dlab import (Refinement, choice, compile_template, inline, literal,
 from relic.errors import BiasError
 from relic.learner import (LearnerParams, SearchStats, _Candidate, _coverage,
                            accuracy, learn_class, learn_theory, train_accuracy)
-from relic.logic import (FactIndex, body_key, clause, covers, grounding,
-                         is_variable, lit)
+from relic.logic import (FactIndex, apply_substitution, body_key, clause,
+                         covers, grounding, is_variable, lit)
 
 
 def _example(label, situation, facts):
@@ -229,6 +229,37 @@ def _stats_sum(theory):
             for n in names}
 
 
+def _memo_checked(examples, learn):
+    """learn(), run with refine wrapped to keep each child by its body
+    text; then every coverage memo entry on examples is checked against
+    that child: None exactly where covers says the body does not cover,
+    and otherwise a witness, one value per variable, whose substitution
+    puts every body literal among the facts.  Returns what learn returns."""
+    import relic.learner as learner
+
+    children = {}
+
+    def kept(template, sel):
+        out = refine(template, sel)
+        children.update((child.text, child) for child in out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "refine", kept)
+        learned = learn()
+    for e in examples:
+        for text, witness in e.coverage_memo.items():
+            child = children[text]
+            assert (witness is None) == (
+                not covers(clause("x", child.body), e.facts))
+            if witness is not None:
+                assert len(witness) == len(child.variables)
+                theta = dict(zip(child.variables, witness))
+                assert all(apply_substitution(b, theta) in e.facts
+                           for b in child.body)
+    return learned
+
+
 class TestCoverageMemo:
     """Each example's coverage memo, shared by every class and search."""
 
@@ -277,10 +308,8 @@ class TestCoverageMemo:
         stats = SearchStats()
         assert _coverage(child, ROOT, [hit, miss], range(2), stats) == (0,)
         assert _coverage(child, ROOT, [miss, hit], range(2), stats) == (1,)
-        assert hit.coverage_memo == {child.text: True}
-        assert miss.coverage_memo == {child.text: False}
-        assert hit.witnesses == {child.text: ("r0",)}
-        assert miss.witnesses == {}
+        assert hit.coverage_memo == {child.text: ("r0",)}
+        assert miss.coverage_memo == {child.text: None}
         assert (stats.lookups, stats.memo_hits, stats.searched) == (4, 2, 2)
 
     def test_failed_extension_falls_back_to_a_full_search(self):
@@ -295,12 +324,17 @@ class TestCoverageMemo:
         stats = SearchStats()
         first = _refinement((qrs,), added=(qrs,))
         assert _coverage(first, ROOT, [e], [0], stats) == (0,)
-        assert e.witnesses[first.text] == ("r1",)
+        assert e.coverage_memo[first.text] == ("r1",)
         child = _refinement((qrs, suc), added=(suc,))
         assert _coverage(child, _parent(first), [e], [0], stats) == (0,)
-        assert e.coverage_memo[child.text] is True
-        assert e.witnesses[child.text] == ("r2", "r3")
+        assert e.coverage_memo[child.text] == ("r2", "r3")
         assert (stats.extended, stats.searched) == (1, 1)
+
+    def test_every_entry_left_by_a_run_is_right(self, ecg):
+        examples, bias = ecg
+        fresh = _fresh(examples)
+        _memo_checked(fresh, lambda: learn_theory(fresh, bias))
+        assert all(e.coverage_memo for e in fresh)
 
     def test_added_literal_without_rows_rejects(self):
         qrs = lit("qrs", "A", "abnormal")
@@ -311,7 +345,7 @@ class TestCoverageMemo:
         child = _refinement((qrs, lit("p", "B", "normal")),
                             added=(lit("p", "B", "normal"),))
         assert _coverage(child, _parent(first), [e], [0], stats) == ()
-        assert e.coverage_memo[child.text] is False
+        assert e.coverage_memo[child.text] is None
         assert (stats.extended, stats.rejected, stats.searched) == (1, 1, 0)
 
 
@@ -350,7 +384,8 @@ REFERENCE = settings(deadline=None, derandomize=True, database=None)
 class TestReferenceLearner:
     """learn_class and its shortcuts (the coverage memo, additive children
     tested on their parent's covers, the template's refine cache) learn
-    what the plain search of oracles.reference_learn_class learns."""
+    what the plain search of oracles.reference_learn_class learns; on
+    random grammars every memo entry a search leaves is checked too."""
 
     @settings(REFERENCE, max_examples=400)
     @given(st.sampled_from((3, 4)), st.integers(0, 2**32 - 1))
@@ -369,9 +404,11 @@ class TestReferenceLearner:
         examples = [_example("x" if k == 0 else rng.choice("xy"), k,
                              random_ground_facts(rng)) for k in range(n)]
         params = LearnerParams(beam_width=rng.randint(1, 2))
-        assert _learned_class("x", examples, bias, params) == \
-            reference_learn_class("x", examples, bias, params,
-                                  lambda c, e: brute_covers(c, e.facts))
+        learned = _memo_checked(
+            examples, lambda: _learned_class("x", examples, bias, params))
+        assert learned == reference_learn_class(
+            "x", examples, bias, params,
+            lambda c, e: brute_covers(c, e.facts))
 
     @settings(REFERENCE, max_examples=80)
     @given(st.integers(0, 5), st.integers(1, 2),
