@@ -20,10 +20,13 @@ attributes), and no two events of a block may share an id; everything
 else is kept verbatim, derived facts included.  An event is only its
 fact: :attr:`Interpretation.events` finds them among the facts, unless
 the parser or :func:`saturate`, which tell them apart already, handed
-them over.
-:func:`write_model_file` writes every fact of an interpretation, so a
-saturated one is written with its derived facts (suc, suci, timing and
-amplitude categories, symbolized events) and read back with them.  The
+them over.  One helper, :func:`_timeline`, orders a block's events by
+(timestamp, id) and refuses two that share an id; the events property,
+the parser and aggregation's merged timeline all go through it.
+:func:`write_model_file` writes an interpretation's events, then its
+other facts in text order.  It writes every fact, so a saturated one is
+written with its derived facts (suc, suci, timing and amplitude
+categories, symbolized events) and read back with them.  The
 events alone suffice: :func:`saturate` derives the rest, and
 saturating a file that already holds them adds nothing.
 
@@ -139,13 +142,9 @@ class Interpretation:
 
     @cached_property
     def events(self) -> tuple[Literal, ...]:
-        """The event facts, ordered by (timestamp, id); raises UsageError
-        when two share an id."""
-        timeline = sorted((int(f.args[1]), f.args[0], f)
-                          for f in self.facts if _is_event(f.args))
-        if len({t[1] for t in timeline}) < len(timeline):
-            raise UsageError(f"duplicate event ids in {self.ident}")
-        return tuple(t[2] for t in timeline)
+        """The event facts on their timeline (_timeline)."""
+        return _timeline((f for f in self.facts if _is_event(f.args)),
+                         self.ident)
 
     @cached_property
     def coverage_memo(self) -> dict[str, tuple[str, ...] | None]:
@@ -160,15 +159,23 @@ class Interpretation:
         return f"{self.label}_{self.situation}_{self.source}"
 
 
-def _with_events(situation: int, source: str, label: str,
-                 facts: AbstractSet[Literal],
+def _with_events(interp: Interpretation,
                  events: tuple[Literal, ...]) -> Interpretation:
-    """An Interpretation whose events are known already: events, the event
-    facts among facts (the objects facts holds) by (timestamp, id), fill
+    """interp, whose events are known already: events, the event facts
+    among its facts (the objects its facts hold) on their timeline, fill
     its events slot, so reading them scans no fact."""
-    interp = Interpretation(situation, source, label, facts)
     vars(interp)["events"] = events
     return interp
+
+
+def _timeline(events: Iterable[Literal], where: str) -> tuple[Literal, ...]:
+    """Event facts ordered by (timestamp, id), the one order of a block's
+    events; raises UsageError naming where they are from when two share
+    an id."""
+    timeline = sorted((int(e.args[1]), e.args[0], e) for e in events)
+    if len({t[1] for t in timeline}) < len(timeline):
+        raise UsageError(f"duplicate event ids in {where}")
+    return tuple(t[2] for t in timeline)
 
 
 def _is_event(args: tuple[str, ...]) -> bool:
@@ -208,17 +215,17 @@ def parse_model_file(text: str) -> list[Interpretation]:
     loop reads each one outside a block, as a block's identifier or among
     its facts, telling begin(model) and end(model) apart first.  A table,
     kept for this call only, maps each accepted fact's text and its
-    blank-free spelling to the fact built for it and, if it is an event,
-    its (timestamp, id, fact) entry: :func:`_fact` checks each distinct
-    statement once, and equal facts are one shared object.  A second such
-    table does the same for the facts' predicate and argument strings.  A
-    block's facts are gathered in a set, so its frozenset is sized once,
-    and its sorted event entries are its events; a block whose events
-    repeat an id, even in one repeated statement, raises UsageError.
-    Lines are only counted for a rejection."""
+    blank-free spelling to the fact built for it and whether it is an
+    event: :func:`_fact` checks each distinct statement once, and equal
+    facts are one shared object.  A second such table does the same for
+    the facts' predicate and argument strings.  A block's facts are
+    gathered in a set, so its frozenset is sized once, and its event
+    statements, put on their timeline (_timeline), are its events; a
+    block whose events repeat an id, even in one repeated statement,
+    raises UsageError.  Lines are only counted for a rejection."""
     if "%" in text:
         text = _COMMENT_RE.sub("", text)
-    known: dict[str, tuple[Literal, tuple[int, str, Literal] | None]] = {}
+    known: dict[str, tuple[Literal, bool]] = {}
     words: dict[str, str] = {}
     out: list[Interpretation] = []
     opened = None  # where the open block's begin(model) starts
@@ -234,13 +241,9 @@ def parse_model_file(text: str) -> list[Interpretation]:
             if ident is None:
                 raise ParseError("end(model) without identified block",
                                  line=_line(text, m.start(1)))
-            timeline.sort()
-            interp = _with_events(int(ident[2]), ident[3], ident[1],
-                                  frozenset(facts),
-                                  tuple(e[2] for e in timeline))
-            if len({e[1] for e in timeline}) < len(timeline):
-                raise UsageError(f"duplicate event ids in {interp.ident}")
-            out.append(interp)
+            interp = Interpretation(int(ident[2]), ident[3], ident[1],
+                                    frozenset(facts))
+            out.append(_with_events(interp, _timeline(events, interp.ident)))
             opened = ident = None
         elif ident is not None:
             built = known.get(stmt)
@@ -250,14 +253,12 @@ def parse_model_file(text: str) -> list[Interpretation]:
                     raise ParseError(fact, line=_line(text, m.start(1)))
                 # the same fact spelt with other blanks shares too
                 canon = str(fact)
-                built = known.get(canon) or (fact, (
-                    int(fact.args[1]), fact.args[0], fact)
-                    if _is_event(fact.args) else None)
+                built = known.get(canon) or (fact, _is_event(fact.args))
                 known[stmt] = known[canon] = built
-            fact, event = built
+            fact, is_event = built
             facts.add(fact)
-            if event is not None:
-                timeline.append(event)
+            if is_event:
+                events.append(fact)
         elif opened is not None:
             ident = _IDENT_RE.match(stmt)
             if ident is None:
@@ -265,7 +266,7 @@ def parse_model_file(text: str) -> list[Interpretation]:
                                  "<class>_<situation>_<source>",
                                  line=_line(text, m.start(1)))
             facts: set[Literal] = set()
-            timeline: list[tuple[int, str, Literal]] = []
+            events: list[Literal] = []
         else:
             raise ParseError(f"statement outside begin(model) block: {stmt!r}",
                              line=_line(text, m.start(1)))
@@ -282,24 +283,16 @@ def parse_model_file(text: str) -> list[Interpretation]:
 
 def write_model_file(interpretations: Sequence[Interpretation]) -> str:
     """Inverse of parse_model_file (structural round-trip identity): per
-    block, the event facts by (timestamp, id), then the other facts in
-    text order."""
+    block, its events, then the other facts in text order.  An
+    interpretation whose events share an id raises UsageError, as reading
+    it back would."""
     statements: list[str] = []
     for interp in interpretations:
-        events: list[tuple[int, str, str]] = []
-        others: list[str] = []
-        for f in interp.facts:
-            text = str(f)
-            if _is_event(f.args):
-                events.append((int(f.args[1]), f.args[0], text))
-            else:
-                others.append(text)
-        events.sort()
-        others.sort()
+        events = interp.events
         statements.append("begin(model)")
         statements.append(interp.ident)
-        statements.extend(e[2] for e in events)
-        statements.extend(others)
+        statements.extend(map(str, events))
+        statements.extend(sorted(map(str, interp.facts - frozenset(events))))
         statements.append("end(model)")
     return ".\n".join(statements) + ".\n" if statements else ""
 
@@ -451,8 +444,8 @@ def saturate(interp: Interpretation, cfg: SymbolizationConfig,
     # all its facts, a smaller table than one grown fact by fact
     facts = {known.setdefault(f, f) for f in interp.facts}
     facts.update(known.setdefault(f, f) for f in missing)
-    return _with_events(interp.situation, interp.source, interp.label,
-                        frozenset(facts),
+    return _with_events(Interpretation(interp.situation, interp.source,
+                                       interp.label, frozenset(facts)),
                         tuple(map(known.__getitem__, events)))
 
 

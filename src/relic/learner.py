@@ -7,7 +7,10 @@ search, with none of the shortcuts below, that this one is checked against.
 
 The search identifies a clause by the body text dlab.refine hands it with
 each child's selection and body: the sorted literal texts joined by ", "
-(every clause of one search has the head class(label)).  refine keeps each
+(every clause of one search has the head class(label)).  A search node
+is that child, the Refinement itself, with the selections pooled onto it
+and what it covers; the root is the start selection with no body.  Only
+an accepted node is made a Clause.  refine keeps each
 selection's children on the bias template, so the classes, covering rounds
 and pipeline runs that share a template expand a selection once; the
 biased pipeline compiles each distinct class bias once per dataset and its
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .data import Interpretation
 from .dlab import (DlabTemplate, Refinement, Selection, clause_of, refine,
@@ -114,31 +117,25 @@ class Theory:
         result = self.per_class.get(label)
         return result.clauses if result else ()
 
-    def labels(self) -> list[str]:
-        return list(self.per_class)
-
     def total_nodes(self) -> int:
         return sum(r.stats.nodes for r in self.per_class.values())
 
 
 @dataclass
 class _Candidate:
-    """One clause under consideration; equal clauses reached through
-    different selections are pooled so every continuation stays reachable.
-    canon is the body text: one search shares one head, so ordering by it
-    orders as canonical_text would.  variables are the body's, sorted by
-    name: the order of a witness's values."""
+    """One node of the search: the Refinement refine handed it, and every
+    selection of its body met this round, pooled so every continuation
+    stays reachable.  One search shares one head, so ordering by ref.text
+    orders as canonical_text would."""
 
+    ref: Refinement
     sels: tuple[Selection, ...]
-    clause: Clause
-    canon: str
-    variables: tuple[str, ...]
     pos_cover: tuple[int, ...]
     neg_cover: tuple[int, ...]
     acc: float
 
 
-def _coverage(child: Refinement, parent: _Candidate,
+def _coverage(child: Refinement, parent: Refinement,
               pool: Sequence[Interpretation], among: Sequence[int],
               stats: SearchStats) -> tuple[int, ...]:
     """The indices in among whose example child's clause covers.  Each
@@ -164,7 +161,7 @@ def _coverage(child: Refinement, parent: _Candidate,
     return tuple(covered)
 
 
-def _ground(child: Refinement, parent: _Candidate, e: Interpretation,
+def _ground(child: Refinement, parent: Refinement, e: Interpretation,
             stats: SearchStats) -> dict[str, str] | None:
     """A grounding of child's body on e, or None if there is none.
 
@@ -182,7 +179,7 @@ def _ground(child: Refinement, parent: _Candidate, e: Interpretation,
         if plan is None:
             stats.rejected += 1
             return None
-        w = e.coverage_memo[parent.canon] if parent.canon else ()
+        w = e.coverage_memo[parent.text] if parent.text else ()
         found = grounding(plan, index, zip(parent.variables, w))
         if found is not None or not w:
             stats.extended += 1
@@ -191,8 +188,7 @@ def _ground(child: Refinement, parent: _Candidate, e: Interpretation,
     return grounding(index.plan(child.body), index)
 
 
-def _beam_search(label: str, bias: DlabTemplate,
-                 pos: Sequence[Interpretation],
+def _beam_search(bias: DlabTemplate, pos: Sequence[Interpretation],
                  remaining: list[int],
                  neg: Sequence[Interpretation],
                  params: LearnerParams,
@@ -201,11 +197,10 @@ def _beam_search(label: str, bias: DlabTemplate,
     among the remaining positives."""
     n_pos, n_neg = len(remaining), len(neg)
     all_neg = tuple(range(n_neg))
+    # the root's witness is empty on every example
     start = start_selection(bias)
-    root = _Candidate(sels=(start,), clause=clause_of(bias, start, label),
-                      canon="", variables=(), pos_cover=tuple(remaining),
-                      neg_cover=all_neg, acc=0.0)
-    head = root.clause.head
+    root = _Candidate(Refinement(start, (), "", (), None), (start,),
+                      tuple(remaining), all_neg, 0.0)
     beam = [root]
     expanded: set[Selection] = set()
 
@@ -230,16 +225,15 @@ def _beam_search(label: str, bias: DlabTemplate,
                         neg_among = parent.neg_cover
                     else:
                         pos_among, neg_among = remaining, all_neg
-                    pos_cover = _coverage(child, parent, pos, pos_among,
+                    pos_cover = _coverage(child, parent.ref, pos, pos_among,
                                           stats)
                     # covering no positive, it never enters the beam
-                    neg_cover = (_coverage(child, parent, neg, neg_among,
+                    neg_cover = (_coverage(child, parent.ref, neg, neg_among,
                                            stats) if pos_cover else ())
                     tp, fp = len(pos_cover), len(neg_cover)
                     acc = accuracy(tp, n_neg - fp, fp, n_pos - tp)
-                    grouped[text] = _Candidate(
-                        (child.sel,), Clause(head, child.body), text,
-                        child.variables, pos_cover, neg_cover, acc)
+                    grouped[text] = _Candidate(child, (child.sel,),
+                                               pos_cover, neg_cover, acc)
 
         if not grouped:
             return None
@@ -248,12 +242,13 @@ def _beam_search(label: str, bias: DlabTemplate,
         if acceptable:
             # the stop rule fires on the earliest round reaching fp = 0;
             # among that round's candidates prefer coverage, then brevity
-            acceptable.sort(key=lambda c: (-c.acc, len(c.clause.body), c.canon))
+            acceptable.sort(key=lambda c: (-c.acc, len(c.ref.body),
+                                           c.ref.text))
             return acceptable[0]
         # a candidate covering no positive can never become acceptable:
         # refinement specializes, so tp only shrinks (its nodes still count)
         ordered = [c for c in ordered if c.pos_cover]
-        ordered.sort(key=lambda c: (-c.acc, c.canon))
+        ordered.sort(key=lambda c: (-c.acc, c.ref.text))
         beam = ordered[:params.beam_width]
     return None
 
@@ -275,10 +270,10 @@ def learn_class(label: str, examples: Sequence[Interpretation],
     complete = False
 
     while remaining and len(accepted) < params.max_clauses_per_class:
-        best = _beam_search(label, bias, pos, remaining, neg, params, stats)
+        best = _beam_search(bias, pos, remaining, neg, params, stats)
         if best is None:
             break
-        accepted.append(best.clause)
+        accepted.append(clause_of(bias, best.ref.sel, label))
         covered = set(best.pos_cover)
         remaining = [i for i in remaining if i not in covered]
     complete = not remaining
@@ -288,20 +283,17 @@ def learn_class(label: str, examples: Sequence[Interpretation],
                        complete=complete)
 
 
-def learn_theory(examples: Sequence[Interpretation],
-                 bias: DlabTemplate | Mapping[str, DlabTemplate],
+def learn_theory(examples: Sequence[Interpretation], bias: DlabTemplate,
                  params: LearnerParams = LearnerParams(),
                  classes: Sequence[str] | None = None) -> Theory:
-    """learn_class per class label; bias may be shared or per class."""
+    """learn_class per class label, every class under bias."""
     if classes is None:
         classes = sorted({e.label for e in examples})
     if len(classes) < 2:
         raise UsageError("need at least two classes (no negatives otherwise)")
     theory = Theory()
     for label in classes:
-        class_bias = bias[label] if isinstance(bias, Mapping) else bias
-        theory.per_class[label] = learn_class(label, examples, class_bias,
-                                              params)
+        theory.per_class[label] = learn_class(label, examples, bias, params)
     return theory
 
 

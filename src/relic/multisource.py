@@ -13,10 +13,11 @@ restrictions (Dataset.templates), with its refine cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, Mapping, Sequence
 
-from .data import Dataset, FactUnion, Interpretation, succession_facts
+from .data import (Dataset, FactUnion, Interpretation, _timeline,
+                   succession_facts)
 from .dlab import (MAX_NESTING, ChoiceSpec, DlabTemplate, LiteralSpec,
                    choice, compile_template, inline, literal, nested)
 from .errors import InternalError, ParseError, UsageError
@@ -84,8 +85,8 @@ def _merge(dataset: Dataset, k: int, sources: Sequence[str],
             if origin.setdefault(e.args[0], v.source) != v.source:
                 raise UsageError(f"event id {e.args[0]} appears on two "
                                  f"sources in situation {k}")
-    eids = [i for _, i in sorted((int(e.args[1]), e.args[0])
-                                 for v in views for e in v.events)]
+    eids = [e.args[0] for e in _timeline(
+        chain.from_iterable(v.events for v in views), f"situation {k}")]
     # copied from a set, so the frozenset is sized once for all its facts
     cross = frozenset({known.setdefault(f, f) for f in succession_facts(
         eids, [origin[i] for i in eids])})

@@ -124,23 +124,35 @@ def random_two_source(seed: int):
     return Dataset(tuple(interps), schema, labels)
 
 
-def random_grammar(rng: random.Random, max_depth: int = 3):
-    """A random DLAB spec tree with a modest search space."""
+def random_grammar(rng: random.Random, max_depth: int = 3,
+                   wide_inlines: bool = False):
+    """A random DLAB spec tree with a modest search space.  With
+    wide_inlines every literal has an inline choice, and every inline
+    choice has a max of 2 or more and a min of at most 1, so adding an
+    element to a reached literal, a non-additive child, is possible
+    below the root."""
     from relic.dlab import choice, inline, literal
 
     preds = ("p", "q", "r", "s")
     consts = ("a", "b", "c")
     variables = ("X", "Y", "Z")
 
+    def make_inline():
+        if wide_inlines:
+            k = rng.randint(2, 3)
+            return inline(rng.randint(0, 1), rng.randint(2, k),
+                          *rng.sample(consts, k))
+        k = rng.randint(1, 3)
+        lo = rng.randint(0 if rng.random() < 0.3 else 1, k)
+        hi = rng.randint(lo, k)
+        return inline(lo, hi, *rng.sample(consts, k))
+
     def make_literal():
-        args = []
-        for _ in range(rng.randint(0, 2)):
+        args = [make_inline()] if wide_inlines else []
+        for _ in range(rng.randint(0, 2 - len(args))):
             kind = rng.random()
             if kind < 0.4:
-                k = rng.randint(1, 3)
-                lo = rng.randint(0 if rng.random() < 0.3 else 1, k)
-                hi = rng.randint(lo, k)
-                args.append(inline(lo, hi, *rng.sample(consts, k)))
+                args.append(make_inline())
             elif kind < 0.7:
                 args.append(rng.choice(variables))
             else:

@@ -145,7 +145,7 @@ def test_property_one(reference_dataset, full_run):
     checks = 0
     for source in ("ECG", "ABP"):
         theory = full_run.mono[source]
-        for label in theory.labels():
+        for label in theory.per_class:
             for h in theory.clauses_for(label):
                 for e in reference_dataset.by_source(source):
                     agg = by_situation[e.situation]

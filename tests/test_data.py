@@ -144,6 +144,13 @@ class TestWrite:
             "qrs(r2,10).\np(z9,10).\np.\np(x).\nsuc(r2,r1).\n"
             "end(model).\n")
 
+    def test_duplicate_event_ids_refused(self):
+        """Events sharing an id are refused when written, as they would be
+        when the file is read back."""
+        i = _interp([lit("qrs", "r1", "100"), lit("p", "r1", "200")])
+        with pytest.raises(UsageError, match="duplicate event ids in sr_1_ECG"):
+            write_model_file([i])
+
     def test_round_trip_generated(self):
         ds = generate_dataset(GeneratorConfig(seed=3, per_class=2))
         for source in ds.sources():
@@ -278,7 +285,9 @@ class TestParseProperties:
     @PROPERTY
     @given(interpretation_lists())
     def test_write_then_parse_round_trip(self, interps):
-        assert parse_model_file(write_model_file(interps)) == interps
+        again = parse_model_file(write_model_file(interps))
+        assert again == interps
+        assert [i.events for i in again] == [i.events for i in interps]
 
 
 class TestEvents:

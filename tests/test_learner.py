@@ -13,8 +13,8 @@ from relic.data import Interpretation
 from relic.dlab import (Refinement, choice, compile_template, inline, literal,
                         refine, start_selection)
 from relic.errors import BiasError
-from relic.learner import (LearnerParams, SearchStats, _Candidate, _coverage,
-                           accuracy, learn_class, learn_theory, train_accuracy)
+from relic.learner import (LearnerParams, SearchStats, _coverage, accuracy,
+                           learn_class, learn_theory, train_accuracy)
 from relic.logic import (FactIndex, apply_substitution, body_key, clause,
                          covers, grounding, is_variable, lit)
 
@@ -142,15 +142,6 @@ class TestLearnTheory:
         with pytest.raises(UsageError):
             learn_theory(examples, TINY_BIAS)
 
-    def test_per_class_bias_mapping(self):
-        examples = ([_beat_example("x", i, ("abnormal", "abnormal"))
-                     for i in range(3)]
-                    + [_beat_example("y", 10 + i, ("normal", "normal"))
-                       for i in range(3)])
-        theory = learn_theory(examples, {"x": TINY_BIAS, "y": TINY_BIAS})
-        assert set(theory.labels()) == {"x", "y"}
-        assert all(r.complete for r in theory.per_class.values())
-
     def test_deterministic(self):
         examples = ([_beat_example("x", i, ("abnormal", "normal"))
                      for i in range(4)]
@@ -214,13 +205,7 @@ def _refinement(body, added=None):
                       ", ".join(body_key(body)), tuple(variables), added)
 
 
-def _parent(ref):
-    """ref as a beam candidate whose children _coverage tests."""
-    return _Candidate((ref.sel,), clause("x", ref.body), ref.text,
-                      ref.variables, (), (), 0.0)
-
-
-ROOT = _parent(_refinement(()))
+ROOT = _refinement(())  # the search's root: no body, an empty witness
 
 
 def _stats_sum(theory):
@@ -326,7 +311,7 @@ class TestCoverageMemo:
         assert _coverage(first, ROOT, [e], [0], stats) == (0,)
         assert e.coverage_memo[first.text] == ("r1",)
         child = _refinement((qrs, suc), added=(suc,))
-        assert _coverage(child, _parent(first), [e], [0], stats) == (0,)
+        assert _coverage(child, first, [e], [0], stats) == (0,)
         assert e.coverage_memo[child.text] == ("r2", "r3")
         assert (stats.extended, stats.searched) == (1, 1)
 
@@ -344,7 +329,7 @@ class TestCoverageMemo:
         _coverage(first, ROOT, [e], [0], stats)
         child = _refinement((qrs, lit("p", "B", "normal")),
                             added=(lit("p", "B", "normal"),))
-        assert _coverage(child, _parent(first), [e], [0], stats) == ()
+        assert _coverage(child, first, [e], [0], stats) == ()
         assert e.coverage_memo[child.text] is None
         assert (stats.extended, stats.rejected, stats.searched) == (1, 1, 0)
 
@@ -400,6 +385,35 @@ class TestReferenceLearner:
             bias = compile_template(random_grammar(rng, depth))
         except BiasError:
             assume(False)
+        self._check_random_search(rng, bias, depth)
+
+    @settings(REFERENCE, max_examples=200)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_wide_inline_grammars(self, seed):
+        """Grammars whose inline choices can grow below the root, so the
+        search meets non-additive children there: a learner that tests
+        every child only on its parent's covers fails this."""
+        rng = random.Random(seed)
+        bias = compile_template(random_grammar(rng, 3, wide_inlines=True))
+        self._check_random_search(rng, bias, 3)
+
+    def test_wide_inline_grammars_reach_non_additive_children(self):
+        """Most grammars of that family give some child of the root a
+        non-additive child of its own."""
+        reached = 0
+        for seed in range(40):
+            bias = compile_template(random_grammar(random.Random(seed), 3,
+                                                   wide_inlines=True))
+            reached += any(not grandchild.additive
+                           for child in refine(bias, start_selection(bias))
+                           for grandchild in refine(bias, child.sel))
+        assert reached >= 20
+
+    @staticmethod
+    def _check_random_search(rng, bias, depth):
+        """Random examples drawn from rng, learnt as class x: learn_class
+        equals the reference on clauses, nodes and completeness, and
+        every memo entry it leaves is right."""
         n = rng.randint(3, 8) if depth == 3 else rng.randint(6, 14)
         examples = [_example("x" if k == 0 else rng.choice("xy"), k,
                              random_ground_facts(rng)) for k in range(n)]
