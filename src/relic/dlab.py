@@ -537,20 +537,18 @@ def _reached_nodes(t: DlabTemplate,
 class Refinement(NamedTuple):
     """One child of refine: its selection, the body it induces (in tree
     order), that body's text (the sorted literal texts joined by ", "),
-    the body's variables sorted by name, and what it adds.  added is set
-    when the child is additive: its literal multiset contains the parent
-    selection's, so it covers no example the parent does not.  It is then
-    the multiset difference, in tree order, and None otherwise."""
+    the body's variables sorted by name, what it adds to its base, and
+    whether it is additive: its literal multiset contains the parent
+    selection's, so it covers no example the parent does not.  added is
+    then the multiset difference, in tree order, and otherwise the whole
+    body (its base is the empty body)."""
 
     sel: Selection
     body: tuple[Literal, ...]
     text: str
     variables: tuple[Term, ...]
-    added: tuple[Literal, ...] | None
-
-    @property
-    def additive(self) -> bool:
-        return self.added is not None
+    added: tuple[Literal, ...]
+    additive: bool
 
 
 def _variables(body: Sequence[Literal]) -> set[Term]:
@@ -574,7 +572,8 @@ def _added(body: Sequence[Literal],
 def refine(t: DlabTemplate, sel: Selection) -> list[Refinement]:
     """All minimal valid selections strictly extending sel whose induced
     clause strictly grows, each with the body it induces, its text, its
-    variables and, when it only adds literals, the ones it adds
+    variables, the literals it adds to its base (sel's body when it only
+    adds literals, the empty body otherwise) and whether it is additive
     (Refinement).
 
     From an invalid empty selection (a root that needs picks) this yields
@@ -619,14 +618,11 @@ def _refinements(t: DlabTemplate, sel: Selection) -> dict[tuple, Refinement]:
             for k, deeper in _refinements(t, candidate).items():
                 results.setdefault(k, deeper)
         elif (key, candidate.picks) not in results:
-            if additive:
-                added = _added(body, base)
-                variables = base_vars | _variables(added)
-            else:
-                added, variables = None, _variables(body)
+            added = _added(body, base) if additive else body
+            variables = (base_vars if additive else set()) | _variables(added)
             results[key, candidate.picks] = Refinement(
                 candidate, body, ", ".join(key), tuple(sorted(variables)),
-                added)
+                added, additive)
 
     if reached is None:
         adds = not isinstance(t.node(t.root), TerminalNode)

@@ -1,11 +1,11 @@
 """Cross-validation with fold alignment across sources, plus report emission.
 
 TrAcc and Acc come from the cross-validation (mean training accuracy over
-folds; pooled test accuracy over every held-out example).  Nodes, TimeMs and
-Comp come from one training run over the full dataset, mirroring how the
-efficiency and accuracy tables pair up.  For the biased mode, Nodes/TimeMs
-cover the second (aggregated) learning step; monosource costs are reported
-in the metadata.
+the folds that have a training example; pooled test accuracy over every
+held-out example).  Nodes, TimeMs and Comp come from one training run over
+the full dataset, mirroring how the efficiency and accuracy tables pair
+up.  For the biased mode, Nodes/TimeMs cover the second (aggregated)
+learning step; monosource costs are reported in the metadata.
 """
 
 from __future__ import annotations
@@ -88,7 +88,9 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
     held-out examples outside the test set, skipping with a warning each
     class with no positive there.  A fold whose training examples hold
     fewer than two classes learns nothing (an empty theory) and warns; the
-    full run still raises on such data.  A fold's warnings carry its
+    full run still raises on such data.  TrAcc averages over the folds
+    with a training example: a fold whose test set holds every held-out
+    example has none to score.  A fold's warnings carry its
     number, the full run's do not.  A fold is scored as it runs, on the
     held-out examples outside its test set (in biased mode, the very
     examples its pipeline learned from) and on its test examples; the rows
@@ -142,6 +144,7 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
                             for c in classes if c not in present], {}
 
     tracc = dict.fromkeys(classes, 0.0)
+    trained = 0  # folds with a training example to score
     correct = dict.fromkeys(classes, 0)  # test examples predicted right
     for fold, test_set in enumerate(test_sets):
         test_ids = frozenset(test_set)
@@ -152,9 +155,11 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
                                        "skipped"]
         else:
             theory, warns, _ = learn(test_ids, train)
+        trained += bool(train)
         for label in classes:
             clauses = theory.clauses_for(label)
-            tracc[label] += train_accuracy(clauses, label, train)
+            if train:
+                tracc[label] += train_accuracy(clauses, label, train)
             correct[label] += sum(theory_covers(clauses, e.index)
                                   == (e.label == label) for e in test)
         audit = {src: frozenset(s for s in test_ids
@@ -173,7 +178,7 @@ def cross_validate(dataset: Dataset, mode: str, folds: int,
     for label in classes:
         result = theory.per_class.get(label)
         report.rows.append(ClassReport(
-            label=label, tracc=tracc[label] / folds,
+            label=label, tracc=tracc[label] / trained,
             acc=correct[label] / len(held_out),
             comp=comp_metric(result.clauses if result else (),
                              dataset.schema),

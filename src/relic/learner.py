@@ -15,11 +15,12 @@ selection's children on the bias template, so the classes, covering rounds
 and pipeline runs that share a template expand a selection once; the
 biased pipeline compiles each distinct class bias once per dataset and its
 restrictions (Dataset.templates), so cross-validation folds that
-synthesize the same bias share one template.  A child
-marked additive holds every literal of its parent, so the learner tests it
-only on the examples its parent covers; every selection a candidate pools
-induces the candidate's literal multiset, so the mark holds for the
-candidate whichever of its selections was refined.  The same text
+synthesize the same bias share one template.  A child is tested only
+on the examples its base covers: its parent when it is marked additive
+(it holds every literal of its parent), the round's root otherwise.
+Every selection a candidate pools induces the candidate's literal
+multiset, so the mark holds for the candidate whichever of its
+selections was refined.  The same text
 keys each example's coverage memo (Interpretation.coverage_memo), so a body
 is tested against an example once however many classes, covering rounds
 and cross-validation folds reach it.  This is sound because whether a body
@@ -32,15 +33,14 @@ dataset and all its restrictions.
 
 A memo entry holds the body's witness when it covers the example (the
 values of the grounding found, in the order of the body's variables
-sorted by name), and None when it does not.  An additive child is tested
-only where its parent covers, so its parent's witness is there (the
-root's is empty): a literal the child adds with no row on the example
-means no cover; otherwise the matcher extends the witness over the added
-literals only.  Only when that extension fails does a full search of the
-body decide, since another grounding of the parent may extend where the
-kept one does not.  A non-additive child gets the full search.  Both
-plan each literal once per example on its FactIndex, and SearchStats
-counts how each test was answered.
+sorted by name), and None when it does not.  Every test is one step:
+the matcher extends the base's witness (the root's is empty) over the
+literals the child adds to the base, a non-additive child its whole
+body; one with no row on the example means no cover.  Only when that
+extension fails and the witness binds a variable does a full search of
+the body decide, since another grounding of the base may extend where
+the kept one does not.  Each literal is planned once per example on its
+FactIndex, and SearchStats counts how each test was answered.
 
 A child that covers no positive is never acceptable and never enters the
 beam, so its negatives are not tested: it keeps its place among the
@@ -86,9 +86,10 @@ class SearchStats:
     """nodes counts every selection produced by refine, kept or pruned.
     lookups counts the search's coverage tests, one per (body, example)
     pair, and each is answered one way: memo_hits by the example's
-    coverage memo; extended by extending the parent's witness, its memo
-    entry, over the literals an additive child adds; rejected because one
-    of those has no row on the example; searched by a full matcher run."""
+    coverage memo; extended by extending the base's witness, its memo
+    entry (the root's is empty), over the literals the child adds to it;
+    rejected because one of those has no row on the example; searched by
+    a full search of the body after an extension failed."""
 
     nodes: int = 0
     time_ms: float = 0.0
@@ -135,7 +136,7 @@ class _Candidate:
     acc: float
 
 
-def _coverage(child: Refinement, parent: Refinement,
+def _coverage(child: Refinement, base: Refinement,
               pool: Sequence[Interpretation], among: Sequence[int],
               stats: SearchStats) -> tuple[int, ...]:
     """The indices in among whose example child's clause covers.  Each
@@ -151,7 +152,7 @@ def _coverage(child: Refinement, parent: Refinement,
             stats.memo_hits += 1
             witness = memo[text]
         else:
-            found = _ground(child, parent, e, stats)
+            found = _ground(child, base, e, stats)
             witness = memo[text] = (
                 None if found is None
                 else tuple(map(found.__getitem__, child.variables)))
@@ -161,29 +162,26 @@ def _coverage(child: Refinement, parent: Refinement,
     return tuple(covered)
 
 
-def _ground(child: Refinement, parent: Refinement, e: Interpretation,
+def _ground(child: Refinement, base: Refinement, e: Interpretation,
             stats: SearchStats) -> dict[str, str] | None:
     """A grounding of child's body on e, or None if there is none.
 
-    An additive child is tested only on examples its parent covers, so
-    e's memo holds the parent's witness there (the root's is empty), and
-    the child extends it over the literals it adds.  That extension may
-    fail where another grounding of the parent extends, so only a full
-    search then decides; but when the parent binds no variable its
-    witness is the only one, and the extension was the full search.  A
-    child whose added literal has no row on e covers nothing there."""
+    e's memo holds the base's witness (the root's is empty), and the
+    child extends it over the literals it adds to the base.  That
+    extension may fail where another grounding of the base extends, so
+    only a full search then decides; but when the base binds no variable
+    its witness is the only one, and the extension was the full search.
+    A child whose added literal has no row on e covers nothing there."""
     index = e.index
-    added = child.added
-    if added is not None:
-        plan = index.plan(added)
-        if plan is None:
-            stats.rejected += 1
-            return None
-        w = e.coverage_memo[parent.text] if parent.text else ()
-        found = grounding(plan, index, zip(parent.variables, w))
-        if found is not None or not w:
-            stats.extended += 1
-            return found
+    plan = index.plan(child.added)
+    if plan is None:
+        stats.rejected += 1
+        return None
+    w = e.coverage_memo[base.text] if base.text else ()
+    found = grounding(plan, index, zip(base.variables, w))
+    if found is not None or not w:
+        stats.extended += 1
+        return found
     stats.searched += 1
     return grounding(index.plan(child.body), index)
 
@@ -196,11 +194,10 @@ def _beam_search(bias: DlabTemplate, pos: Sequence[Interpretation],
     """One covering round: search for a clause with fp = 0 and tp >= 1
     among the remaining positives."""
     n_pos, n_neg = len(remaining), len(neg)
-    all_neg = tuple(range(n_neg))
-    # the root's witness is empty on every example
+    # the root covers every example left to test, with an empty witness
     start = start_selection(bias)
-    root = _Candidate(Refinement(start, (), "", (), None), (start,),
-                      tuple(remaining), all_neg, 0.0)
+    root = _Candidate(Refinement(start, (), "", (), (), True), (start,),
+                      tuple(remaining), tuple(range(n_neg)), 0.0)
     beam = [root]
     expanded: set[Selection] = set()
 
@@ -220,16 +217,13 @@ def _beam_search(bias: DlabTemplate, pos: Sequence[Interpretation],
                         if child.sel not in known.sels:
                             known.sels = (*known.sels, child.sel)
                         continue
-                    if child.additive:
-                        pos_among = parent.pos_cover
-                        neg_among = parent.neg_cover
-                    else:
-                        pos_among, neg_among = remaining, all_neg
-                    pos_cover = _coverage(child, parent.ref, pos, pos_among,
-                                          stats)
+                    base = parent if child.additive else root
+                    pos_cover = _coverage(child, base.ref, pos,
+                                          base.pos_cover, stats)
                     # covering no positive, it never enters the beam
-                    neg_cover = (_coverage(child, parent.ref, neg, neg_among,
-                                           stats) if pos_cover else ())
+                    neg_cover = (_coverage(child, base.ref, neg,
+                                           base.neg_cover, stats)
+                                 if pos_cover else ())
                     tp, fp = len(pos_cover), len(neg_cover)
                     acc = accuracy(tp, n_neg - fp, fp, n_pos - tp)
                     grouped[text] = _Candidate(child, (child.sel,),

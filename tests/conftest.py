@@ -91,6 +91,21 @@ def relabel(dataset, seed, frac):
                    dataset.schema, dataset.classes)
 
 
+def fresh_index_covers():
+    """covers on a FactIndex built afresh for each example, for
+    oracles.reference_learn_class."""
+    from relic.logic import FactIndex, covers
+
+    indexes = {}
+
+    def test(c, e):
+        if id(e) not in indexes:
+            indexes[id(e)] = e, FactIndex(e.facts)
+        return covers(c, indexes[id(e)][1])
+
+    return test
+
+
 def random_two_source(seed: int):
     """A random two-source cardiac dataset: 8 situations over 3 labels,
     each with 2-6 p/qrs events of random shape and 2-6 dias/sys events of

@@ -5,13 +5,14 @@ methods, or search the plain way, and never share code with the package's
 matching routines, its fact-file scanner or the learner's shortcuts.
 """
 
-from itertools import product
+from itertools import combinations, permutations, product
 from string import ascii_letters, ascii_lowercase, digits
 
 from relic.data import Interpretation
 from relic.dlab import parse_dlab, refine, start_selection, template_text
 from relic.errors import ParseError, UsageError
 from relic.logic import Clause, Literal, clause, is_variable
+from relic.multisource import aggregate
 
 
 def brute_covers(c: Clause, facts) -> bool:
@@ -136,6 +137,125 @@ def reference_learn_class(label, examples, bias, params, covers):
         accepted.append(best[4])
         remaining = [i for i in remaining if i not in best[5]]
     return tuple(accepted), nodes, not remaining
+
+
+def reference_pipeline(dataset, biases, constraints, params, covers,
+                       class_biases):
+    """biased_multisource_learn the plain way, as (mono, bottoms, agg).
+
+    mono maps each source to {label: reference_learn_class(...)} for every
+    class with a view there, under that source's bias.  bottoms maps each
+    class the second pass learns to the body keys of its bottom clauses:
+    every pair of its monosource rules, one per source (the empty clause
+    standing in for a source with none), interleaved by reference_merges.
+    A class no aggregated example holds, or with no rule on either source,
+    gets none.  agg maps each of those classes to reference_learn_class on
+    the aggregated examples (multisource.aggregate's) under
+    class_biases[label], the bias the pipeline synthesized for it."""
+    sources = dataset.sources()
+    mono = {}
+    for s in sources:
+        views = dataset.by_source(s)
+        mono[s] = {label: reference_learn_class(label, views, biases[s],
+                                                params, covers)
+                   for label in sorted({e.label for e in views})}
+    examples = aggregate(dataset).examples
+    aggregated = {e.label for e in examples}
+    bottoms, agg = {}, {}
+    for label in sorted({i.label for i in dataset.interpretations}):
+        rules = [mono[s][label][0] if label in mono[s] else ()
+                 for s in sources]
+        if label not in aggregated or not any(rules):
+            continue
+        pairs = product(*(r or (clause(label),) for r in rules))
+        bottoms[label] = {
+            tuple(sorted(map(str, body))) for h1, h2 in pairs
+            for body in reference_bottom_bodies(
+                h1, h2, dataset.schema, sources, constraints)}
+        agg[label] = reference_learn_class(label, examples,
+                                           class_biases[label], params, covers)
+    return mono, bottoms, agg
+
+
+def reference_bottom_bodies(h1, h2, schema, sources, constraints):
+    """The body of every bottom clause of h1 (a rule on sources[0]) and h2
+    (on sources[1]): h2's variables renamed apart from h1's, then for every
+    merge of reference_merges, both rules' literals plus suci(later,
+    earlier) for each neighbour pair of the merge from two sources."""
+    h2 = _renamed_apart(h1, h2)
+    out = []
+    for merge in reference_merges(h1, h2, schema, sources, constraints):
+        links = [Literal("suci", (b[1], a[1]))
+                 for a, b in zip(merge, merge[1:]) if a[0] != b[0]]
+        out.append((*h1.body, *h2.body, *links))
+    return out
+
+
+def reference_merges(h1, h2, schema, sources, constraints):
+    """Every permutation of the two rules' events, as (source, variable,
+    predicate) triples, that keeps each rule's own event order and that
+    no constraint forbids: for no two events of the constraint's source
+    with none of that source between them, the first of predicate before
+    and the second of predicate after, does an event of the other source
+    fall between."""
+    sequences = [[(s, v, p) for v, p in _event_sequence(h, schema)]
+                 for h, s in zip((h1, h2), sources)]
+    out = []
+    for merge in permutations(sequences[0] + sequences[1]):
+        if any([m for m in merge if m[0] == s] != seq
+               for s, seq in zip(sources, sequences)):
+            continue
+        if not any(_forbidden(merge, con) for con in constraints):
+            out.append(merge)
+    return out
+
+
+def _forbidden(merge, con):
+    for i, j in combinations(range(len(merge)), 2):
+        between = merge[i + 1:j]
+        if (merge[i][0] == merge[j][0] == con.source
+                and (merge[i][2], merge[j][2]) == (con.before, con.after)
+                and between and all(m[0] != con.source for m in between)):
+            return True
+    return False
+
+
+def _event_sequence(h, schema):
+    """h's events, (variable, predicate) for the first event literal of
+    each variable, in the one order that puts every suc/suci(later,
+    earlier) link between two of them later after earlier."""
+    events = {}
+    for b in h.body:
+        if schema.is_event(b.pred) and b.args and is_variable(b.args[0]):
+            events.setdefault(b.args[0], b.pred)
+    links = [b.args for b in h.body
+             if b.pred in ("suc", "suci") and len(b.args) == 2
+             and set(b.args) <= events.keys()]
+    [order] = [p for p in permutations(events)
+               if all(p.index(later) > p.index(earlier)
+                      for later, earlier in links)]
+    return [(v, events[v]) for v in order]
+
+
+def _renamed_apart(h1, h2):
+    """h2 with each variable it shares with h1 renamed V_2 (V_2_3, V_2_4,
+    ... while that name is taken in either clause)."""
+    def names(c):
+        return {a for lit in (c.head, *c.body) for a in lit.args
+                if is_variable(a)}
+
+    used = names(h1) | names(h2)
+    theta = {}
+    for v in sorted(names(h1) & names(h2)):
+        fresh, k = f"{v}_2", 2
+        while fresh in used:
+            k += 1
+            fresh = f"{v}_2_{k}"
+        theta[v] = fresh
+        used.add(fresh)
+    return Clause(h2.head, tuple(
+        Literal(b.pred, tuple(theta.get(a, a) for a in b.args))
+        for b in h2.body))
 
 
 def brute_parse_model_file(text):

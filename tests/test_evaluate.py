@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relic import (GeneratorConfig, InterleavingConstraint, UsageError,
-                   generate_dataset, monosource_biases)
+                   generate_dataset, learn_theory, monosource_biases,
+                   train_accuracy)
 from relic import evaluate
 from relic.data import Dataset, Interpretation
 from relic.dlab import template_text
@@ -200,6 +201,50 @@ class TestSourceGap:
         assert "class af: no aggregated example; skipped" in result.warnings
         assert "af" not in result.theory.per_class
         assert "af" not in result.class_biases
+
+
+@pytest.fixture(scope="module")
+def abp_first_four(seed1):
+    """Every ECG view of seed1 but only the ABP views of situations 0-3:
+    with three folds, fold 0's test set holds every ABP view and every
+    aggregated example, so that fold has none to train on."""
+    return Dataset(tuple(i for i in seed1.interpretations
+                         if i.source == "ECG" or i.situation < 4),
+                   seed1.schema, seed1.classes)
+
+
+class TestEmptyTrainingFold:
+    """A fold with no training example is skipped with a warning, and
+    TrAcc averages over the folds that have one."""
+
+    @pytest.mark.parametrize("mode, kwargs", [
+        ("mono", dict(source="ABP", biases=monosource_biases("full"))),
+        ("naive", dict(naive_max_events=2)),
+        ("biased", dict(biases=monosource_biases("full"))),
+    ], ids=["mono", "naive", "biased"])
+    def test_fold_is_skipped_with_a_warning(self, abp_first_four, mode,
+                                            kwargs):
+        report = cross_validate(abp_first_four, mode, 3, **kwargs)
+        assert report.warnings[0] == \
+            "fold 0: fewer than two classes to train on; skipped"
+        assert not any(w.startswith("fold 0: ") for w in report.warnings[1:])
+        held_out = "ABP" if mode == "mono" else "AGG"
+        assert report.fold_audit[0][held_out] == frozenset(range(4))
+
+    def test_tracc_averages_over_the_folds_that_trained(self,
+                                                        abp_first_four):
+        """Folds 1 and 2 both train on all four ABP views, so each class's
+        TrAcc is that one training accuracy, not two thirds of it."""
+        views = abp_first_four.by_source("ABP")
+        biases = monosource_biases("full")
+        report = cross_validate(abp_first_four, "mono", 3, source="ABP",
+                                biases=biases)
+        present = {e.label for e in views}
+        theory = learn_theory(views, biases["ABP"], classes=[
+            c for c in abp_first_four.classes if c in present])
+        assert {r.label: r.tracc for r in report.rows} == {
+            c: train_accuracy(theory.clauses_for(c), c, views)
+            for c in abp_first_four.classes}
 
 
 @pytest.fixture(scope="module")

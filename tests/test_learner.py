@@ -2,7 +2,8 @@ import random
 from functools import cache
 
 import pytest
-from conftest import random_grammar, random_ground_facts, relabel
+from conftest import (fresh_index_covers, random_grammar,
+                      random_ground_facts, relabel)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import brute_covers, reference_learn_class
@@ -15,8 +16,8 @@ from relic.dlab import (Refinement, choice, compile_template, inline, literal,
 from relic.errors import BiasError
 from relic.learner import (LearnerParams, SearchStats, _coverage, accuracy,
                            learn_class, learn_theory, train_accuracy)
-from relic.logic import (FactIndex, apply_substitution, body_key, clause,
-                         covers, grounding, is_variable, lit)
+from relic.logic import (apply_substitution, body_key, clause, covers,
+                         grounding, is_variable, lit)
 
 
 def _example(label, situation, facts):
@@ -198,14 +199,18 @@ def _learned(theory):
 
 
 def _refinement(body, added=None):
-    """A child as refine hands it, for _coverage; additive when added is
-    given."""
+    """A child as refine hands it, for _coverage: additive when added is
+    given, and otherwise non-additive, adding its whole body to the
+    root."""
+    body = tuple(body)
     variables = sorted({a for b in body for a in b.args if is_variable(a)})
-    return Refinement(start_selection(TINY_BIAS), tuple(body),
-                      ", ".join(body_key(body)), tuple(variables), added)
+    return Refinement(start_selection(TINY_BIAS), body,
+                      ", ".join(body_key(body)), tuple(variables),
+                      body if added is None else added, added is not None)
 
 
-ROOT = _refinement(())  # the search's root: no body, an empty witness
+# the search's root: no body, an empty witness
+ROOT = Refinement(start_selection(TINY_BIAS), (), "", (), (), True)
 
 
 def _stats_sum(theory):
@@ -295,7 +300,10 @@ class TestCoverageMemo:
         assert _coverage(child, ROOT, [miss, hit], range(2), stats) == (1,)
         assert hit.coverage_memo == {child.text: ("r0",)}
         assert miss.coverage_memo == {child.text: None}
-        assert (stats.lookups, stats.memo_hits, stats.searched) == (4, 2, 2)
+        # a non-additive child extends the root's empty witness, and miss
+        # has no qrs row with shape abnormal
+        assert (stats.lookups, stats.memo_hits, stats.extended,
+                stats.rejected, stats.searched) == (4, 2, 1, 1, 0)
 
     def test_failed_extension_falls_back_to_a_full_search(self):
         """The parent's kept witness (A = r1) has no suc row to extend
@@ -337,18 +345,6 @@ class TestCoverageMemo:
 def _learned_class(label, examples, bias, params):
     result = learn_class(label, examples, bias, params)
     return result.clauses, result.stats.nodes, result.complete
-
-
-def _fresh_index_covers():
-    """covers on a FactIndex built afresh for each example."""
-    indexes = {}
-
-    def test(c, e):
-        if id(e) not in indexes:
-            indexes[id(e)] = FactIndex(e.facts)
-        return covers(c, indexes[id(e)])
-
-    return test
 
 
 @cache
@@ -412,17 +408,20 @@ class TestReferenceLearner:
     @staticmethod
     def _check_random_search(rng, bias, depth):
         """Random examples drawn from rng, learnt as class x: learn_class
-        equals the reference on clauses, nodes and completeness, and
-        every memo entry it leaves is right."""
+        equals the reference on clauses, nodes and completeness, every
+        memo entry it leaves is right, and its counters answer each
+        coverage test one way."""
         n = rng.randint(3, 8) if depth == 3 else rng.randint(6, 14)
         examples = [_example("x" if k == 0 else rng.choice("xy"), k,
                              random_ground_facts(rng)) for k in range(n)]
         params = LearnerParams(beam_width=rng.randint(1, 2))
-        learned = _memo_checked(
-            examples, lambda: _learned_class("x", examples, bias, params))
-        assert learned == reference_learn_class(
-            "x", examples, bias, params,
-            lambda c, e: brute_covers(c, e.facts))
+        result = _memo_checked(
+            examples, lambda: learn_class("x", examples, bias, params))
+        s = result.stats
+        assert s.lookups == s.memo_hits + s.extended + s.rejected + s.searched
+        assert (result.clauses, s.nodes, result.complete) == \
+            reference_learn_class("x", examples, bias, params,
+                                  lambda c, e: brute_covers(c, e.facts))
 
     @settings(REFERENCE, max_examples=80)
     @given(st.integers(0, 5), st.integers(1, 2),
@@ -443,7 +442,7 @@ class TestReferenceLearner:
         params = LearnerParams(beam_width=width)
         assert _learned_class(label, examples, bias, params) == \
             reference_learn_class(label, examples, bias, params,
-                                  _fresh_index_covers())
+                                  fresh_index_covers())
 
     @settings(REFERENCE, max_examples=55)
     @given(st.integers(0, 5), st.integers(1, 2),
@@ -463,4 +462,4 @@ class TestReferenceLearner:
         params = LearnerParams(beam_width=width)
         assert _learned_class(label, examples, bias, params) == \
             reference_learn_class(label, examples, bias, params,
-                                  _fresh_index_covers())
+                                  fresh_index_covers())

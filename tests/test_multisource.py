@@ -2,10 +2,11 @@ import hashlib
 from math import comb
 
 import pytest
-from conftest import ECG_BLOCK, ABP_BLOCK
+from conftest import (ECG_BLOCK, ABP_BLOCK, fresh_index_covers,
+                      random_two_source)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import brute_covers
+from oracles import brute_covers, reference_pipeline
 
 from relic import (GeneratorConfig, ParseError, UsageError, generate_dataset,
                    learn_theory, parse_model_file)
@@ -13,6 +14,7 @@ from relic.data import (Dataset, Interpretation, SymbolizationConfig,
                         saturate)
 from relic.dlab import (MAX_NESTING, count_space, enumerate_bodies, member,
                         parse_dlab, template_text)
+from relic.learner import LearnerParams
 from relic.logic import (Literal, body_key, clause, covers, lit,
                          standardize_apart, theta_subsumes)
 from relic.multisource import (InterleavingConstraint, aggregate,
@@ -822,3 +824,44 @@ class TestOrderIndependence:
         when the source order flips; shuffling the aggregated examples
         changes nothing the naive learner finds."""
         assert _runs(views, examples) == small_runs
+
+
+def _passes(result):
+    """Each pass of a pipeline run as (clauses, nodes, complete) per
+    class: the monosource passes by source, then the second pass."""
+    def learned(theory):
+        return {label: (r.clauses, r.stats.nodes, r.complete)
+                for label, r in theory.per_class.items()}
+
+    return {s: learned(t) for s, t in result.mono.items()}, \
+        learned(result.theory)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1))
+def test_random_two_source_pipeline_matches_the_reference(seed):
+    """On random two-source data, biased_multisource_learn builds the
+    bottom clauses and learns the passes of oracles.reference_pipeline:
+    per class the same bottom-clause bodies, and every monosource pass
+    and the second pass (under the pipeline's own class bias) equal to
+    the plain search on clauses, nodes and completeness.  Property 1
+    holds too: a monosource rule covers a view exactly when it covers
+    the view's aggregated example."""
+    ds = random_two_source(seed)
+    biases = monosource_biases("full")
+    result = biased_multisource_learn(ds, biases, [DIAS_SYS])
+    mono, bottoms, agg = reference_pipeline(
+        ds, biases, [DIAS_SYS], LearnerParams(), fresh_index_covers(),
+        result.class_biases)
+    assert {label: {body_key(bt.clause.body) for bt in bts}
+            for label, bts in result.bottoms.items()} == bottoms
+    assert _passes(result) == (mono, agg)
+
+    by_situation = {e.situation: e for e in result.aggregated}
+    for source, theory in result.mono.items():
+        for label in theory.per_class:
+            for h in theory.clauses_for(label):
+                for e in ds.by_source(source):
+                    if e.situation in by_situation:
+                        assert covers(h, e.index) == \
+                            covers(h, by_situation[e.situation].index)
