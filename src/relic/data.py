@@ -64,10 +64,11 @@ from itertools import chain, pairwise
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Sequence
 
 from .errors import ParseError, UsageError
-from .logic import FactIndex, Literal, PredicateSchema
+from .logic import Clause, FactIndex, Literal, PredicateSchema
 
 if TYPE_CHECKING:
     from .dlab import ChoiceSpec, DlabTemplate
+    from .multisource import BottomClause, InterleavingConstraint
 
 _IDENT_RE = re.compile(r"^(\w+)_(\d+)_([A-Za-z][A-Za-z0-9]*)$")
 _FACT_RE = re.compile(r"([a-z][A-Za-z0-9_]*)\s*(?:\(([^()]*)\))?")
@@ -482,11 +483,15 @@ def _change(cfg: SymbolizationConfig, a: int | None, b: int | None) -> str:
 class Dataset:
     """Interpretations grouped by source and situation, plus the schema.
 
-    Two tables are shared by a dataset and every restriction of it, so a
-    dataset family (a cross-validation's folds and its full run) does each
-    piece of work once: aggregated keeps multisource.aggregate's merges,
-    and templates keeps each class bias the biased pipeline compiled,
-    keyed by its bottom clauses' DLAB blocks in order.
+    Three tables are shared by a dataset and every restriction of it, so
+    a dataset family (a cross-validation's folds and its full run) does
+    each piece of work once: aggregated keeps multisource.aggregate's
+    merges; bottoms keeps the bottom clauses the biased pipeline built for
+    each rule pair, keyed by the two rules, the sources and the
+    interleaving constraints (as values, never as text); and templates
+    keeps each class bias it compiled, keyed by its bottom clauses' DLAB
+    blocks in order.  Every restriction keeps self's schema, which the
+    bottom clauses also depend on.
     """
 
     interpretations: tuple[Interpretation, ...]
@@ -495,6 +500,10 @@ class Dataset:
     _by_key: dict[tuple[str, int], Interpretation] = field(
         init=False, repr=False, compare=False)
     aggregated: dict[frozenset[str], dict[int, Interpretation]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
+    bottoms: dict[tuple[Clause, Clause, tuple[str, ...],
+                        tuple[InterleavingConstraint, ...]],
+                  tuple[BottomClause, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict)
     templates: dict[tuple[ChoiceSpec, ...], DlabTemplate] = field(
         init=False, repr=False, compare=False, default_factory=dict)
@@ -529,5 +538,6 @@ class Dataset:
         out = Dataset(tuple(i for i in self.interpretations
                             if i.situation in keep), self.schema, self.classes)
         object.__setattr__(out, "aggregated", self.aggregated)
+        object.__setattr__(out, "bottoms", self.bottoms)
         object.__setattr__(out, "templates", self.templates)
         return out

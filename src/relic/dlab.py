@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, prod
@@ -360,25 +361,33 @@ def _terminal_literal(t: DlabTemplate, node: TerminalNode,
     return Literal(node.pred, tuple(args))
 
 
-def induce_body(t: DlabTemplate, sel: Selection) -> tuple[Literal, ...]:
-    """The clause body a selection stands for, in tree order.  Its literals
-    are interned on the template, so equal literals of any two bodies are
-    one object."""
-    picks = dict(sel.picks)
+def _walk(t: DlabTemplate, nid: int,
+          picks: Mapping[int, tuple[int, ...]]) -> list[tuple[int, Literal]]:
+    """The terminals the subtree at nid reaches under picks, in tree order,
+    each as (its nid, its literal).  Ids are preorder, so tree order is
+    ascending nid and a subtree's terminals are one run of nids.  The
+    literals are interned on the template, so equal literals of any two
+    bodies are one object."""
     interned = t._literals
-    out: list[Literal] = []
+    out: list[tuple[int, Literal]] = []
 
     def walk(nid: int):
         node = t.node(nid)
         if isinstance(node, TerminalNode):
             made = _terminal_literal(t, node, picks)
-            out.append(interned.setdefault(made, made))
+            out.append((nid, interned.setdefault(made, made)))
         else:
             for idx in picks.get(nid, ()):
                 walk(node.children[idx])
 
-    walk(t.root)
-    return tuple(out)
+    walk(nid)
+    return out
+
+
+def induce_body(t: DlabTemplate, sel: Selection) -> tuple[Literal, ...]:
+    """The clause body a selection stands for, in tree order, its literals
+    interned on the template (_walk)."""
+    return tuple(lit for _, lit in _walk(t, t.root, dict(sel.picks)))
 
 
 def clause_of(t: DlabTemplate, sel: Selection, label: str) -> Clause:
@@ -584,6 +593,11 @@ def refine(t: DlabTemplate, sel: Selection) -> list[Refinement]:
     Children are sorted by the tuple of their sorted literal texts, then by
     picks, so results are deterministic regardless of evaluation order.
 
+    Each child's body is spliced from sel's, which is walked once: node
+    ids are preorder, so tree order is ascending terminal nid, and a
+    newly chosen subtree's literals go in where its nid falls among sel's
+    (_refinements).
+
     The children of each selection are worked out once and kept on the
     template (t._children), so they live exactly as long as t; every call
     returns a new list, and a caller may change it freely.
@@ -597,21 +611,29 @@ def refine(t: DlabTemplate, sel: Selection) -> list[Refinement]:
 
 def _refinements(t: DlabTemplate, sel: Selection) -> dict[tuple, Refinement]:
     """refine's children keyed by (sorted literal texts, picks), found by
-    one walk of sel's reached nodes."""
+    one walk of sel's reached nodes.  sel's body is walked once into
+    (terminal nid, literal) pairs, ascending in nid, and each child's body
+    is spliced from it: a newly chosen subtree's literals go in where its
+    nid falls among those nids, and a new inline element rebuilds only
+    the literal of the terminal that owns it (the terminal right before
+    it in preorder).  Only the completions of an empty selection are
+    walked from the root."""
     reached = _reached_nodes(t, sel)
     if reached is None and sel.picks:
         raise UsageError("refine requires a valid or empty start selection")
-    base = induce_body(t, sel)
+    pairs = _walk(t, t.root, dict(sel.picks))
+    nids = [nid for nid, _ in pairs]
+    base = tuple(lit for _, lit in pairs)
     base_key, base_vars = body_key(base), _variables(base)
     results: dict[tuple, Refinement] = {}
 
-    def consider(candidate: Selection, additive: bool):
+    def consider(candidate: Selection, body: tuple[Literal, ...],
+                 additive: bool):
         # additive follows from the kind of extension: a choice child (or a
         # completion of a choice root) adds the literals of a subtree no
         # pick reached before and keeps every literal sel induces, while an
         # inline element (or a completion of a terminal root) rewrites one
         # of sel's literals to a greater arity, so sel's literal is lost
-        body = induce_body(t, candidate)
         key = body_key(body)
         if key == base_key:
             # same multiset as sel, so additive means the same for both
@@ -627,20 +649,28 @@ def _refinements(t: DlabTemplate, sel: Selection) -> dict[tuple, Refinement]:
     if reached is None:
         adds = not isinstance(t.node(t.root), TerminalNode)
         for completion in _enum_picks(t, t.root, minimal=True):
-            consider(sel.merged(completion), adds)
+            candidate = sel.merged(completion)
+            consider(candidate, induce_body(t, candidate), adds)
         return results
     for node, chosen in reached:
         if len(chosen) >= node.high:
             continue
         if isinstance(node, InlineNode):
+            at = bisect_right(nids, node.nid) - 1  # node's terminal
             for idx in range(len(node.elements)):
                 if idx not in chosen:
-                    consider(sel.merged({node.nid: (idx,)}), False)
+                    candidate = sel.merged({node.nid: (idx,)})
+                    [(_, made)] = _walk(t, nids[at], dict(candidate.picks))
+                    consider(candidate, (*base[:at], made, *base[at + 1:]),
+                             False)
         else:
             for idx in range(len(node.children)):
                 if idx in chosen:
                     continue
-                for completion in _enum_picks(t, node.children[idx],
-                                              minimal=True):
-                    consider(sel.merged({node.nid: (idx,), **completion}), True)
+                sub = node.children[idx]
+                at = bisect_left(nids, sub)
+                for completion in _enum_picks(t, sub, minimal=True):
+                    new = [lit for _, lit in _walk(t, sub, completion)]
+                    consider(sel.merged({node.nid: (idx,), **completion}),
+                             (*base[:at], *new, *base[at:]), True)
     return results

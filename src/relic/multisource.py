@@ -5,9 +5,13 @@ The pipeline learns rules per source, merges aligned examples by set union
 (dropping label-inconsistent situations), generates bottom clauses by
 interleaving the events of every monosource rule pair, turns each bottom
 clause into one DLAB block, and learns again on the aggregated data inside
-the union of those blocks.  A class bias depends only on its blocks, in
-order, so each distinct one is compiled once per dataset and its
-restrictions (Dataset.templates), with its refine cache.
+the union of those blocks.  A rule pair's bottom clauses depend only on
+the two rules, the schema, the sources and the interleaving constraints,
+so each distinct pair is interleaved once per dataset and its
+restrictions (Dataset.bottoms, keyed by those values).  A class bias
+depends only on its blocks, in order, so each distinct one is compiled
+once per dataset and its restrictions (Dataset.templates), with its
+refine cache.  MultisourceResult counts the misses of both tables.
 """
 
 from __future__ import annotations
@@ -361,6 +365,11 @@ class MultisourceResult:
     bottoms: dict[str, tuple[BottomClause, ...]]
     class_biases: dict[str, DlabTemplate]
     warnings: list[str] = field(default_factory=list)
+    # work this run did that its dataset family had not done before: rule
+    # pairs whose bottom clauses it built (Dataset.bottoms misses) and
+    # class biases it compiled (Dataset.templates misses)
+    pairs_built: int = 0
+    biases_compiled: int = 0
 
 
 def biased_multisource_learn(dataset: Dataset,
@@ -373,16 +382,19 @@ def biased_multisource_learn(dataset: Dataset,
     A class that no aggregated example holds (say, one with no view on a
     source) is skipped with a warning before its bottom clauses are built,
     as is one with no monosource rule on either source; the final theory
-    has no entry for it.  A class bias whose blocks dataset's family has
-    compiled before is taken from dataset.templates; synthesize_bias runs
-    only on a miss."""
-    sources = dataset.sources()
+    has no entry for it.  A rule pair whose bottom clauses dataset's
+    family has built before, under the same sources and constraints, takes
+    them from dataset.bottoms, and a class bias whose blocks the family
+    has compiled before is taken from dataset.templates:
+    bottom_clauses_for_pair and synthesize_bias run only on a miss, and
+    the result counts those misses (pairs_built, biases_compiled)."""
+    sources = tuple(dataset.sources())
     if len(sources) != 2:
         raise UsageError("the pipeline handles exactly two sources")
     for s in sources:
         if s not in biases:
             raise UsageError(f"no bias supplied for source {s}")
-    constraints = list(constraints)
+    constraints = tuple(constraints)
     for con in constraints:
         text = f"forbid_between {con.source} {con.before} {con.after}"
         if con.source not in sources:
@@ -405,6 +417,7 @@ def biased_multisource_learn(dataset: Dataset,
     aggregated = {e.label for e in agg.examples}
     bottoms: dict[str, tuple[BottomClause, ...]] = {}
     class_biases: dict[str, DlabTemplate] = {}
+    pairs_built = biases_compiled = 0
     for label in classes:
         if label not in aggregated:
             warnings.append(f"class {label}: no aggregated example; skipped")
@@ -422,14 +435,20 @@ def biased_multisource_learn(dataset: Dataset,
 
         found: dict[tuple[str, ...], BottomClause] = {}
         for h1, h2 in product(*hs):
-            for bt in bottom_clauses_for_pair(
-                    h1, h2, dataset.schema, tuple(sources), constraints):
+            key = (h1, h2, sources, constraints)
+            pair = dataset.bottoms.get(key)
+            if pair is None:
+                pair = dataset.bottoms[key] = tuple(bottom_clauses_for_pair(
+                    h1, h2, dataset.schema, sources, constraints))
+                pairs_built += 1
+            for bt in pair:
                 found.setdefault(body_key(bt.clause.body), bt)
         bottoms[label] = tuple(found.values())
         blocks = tuple(bt.block for bt in bottoms[label])
         bias = dataset.templates.get(blocks)
         if bias is None:
             bias = dataset.templates[blocks] = synthesize_bias(bottoms[label])
+            biases_compiled += 1
         class_biases[label] = bias
 
     final = Theory()
@@ -438,7 +457,9 @@ def biased_multisource_learn(dataset: Dataset,
 
     return MultisourceResult(theory=final, mono=mono, aggregated=agg.examples,
                              dropped=agg.dropped, bottoms=bottoms,
-                             class_biases=class_biases, warnings=warnings)
+                             class_biases=class_biases, warnings=warnings,
+                             pairs_built=pairs_built,
+                             biases_compiled=biases_compiled)
 
 
 def deepest_bottom_events(bottoms: Iterable[BottomClause]) -> int:

@@ -10,6 +10,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from relic import (GeneratorConfig, InterleavingConstraint, aggregate,
                    biased_multisource_learn, generate_dataset, learn_theory,
                    monosource_biases, naive_bias)
+from relic.dlab import _added, induce_body
+from relic.logic import body_key, is_variable
 
 DEFAULT_CONSTRAINTS = [InterleavingConstraint("ABP", "dias", "sys")]
 
@@ -73,6 +75,20 @@ def redundant_run():
     ds = generate_dataset(GeneratorConfig(seed=1, per_class=10,
                                           mode="redundant"))
     return ds, biased_multisource_learn(ds, monosource_biases("redundant"), [])
+
+
+def assert_refinement_record(t, sel, child):
+    """child, one of refine(t, sel), holds what fresh walks of the template
+    give: its own selection's body in tree order, that body's text, its
+    variables sorted, and what it adds to sel's body (its whole body when
+    it is not additive)."""
+    body = induce_body(t, child.sel)
+    assert child.body == body
+    assert child.text == ", ".join(body_key(body))
+    assert child.variables == tuple(sorted(
+        {a for b in body for a in b.args if is_variable(a)}))
+    want = _added(body, induce_body(t, sel)) if child.additive else body
+    assert child.added == want
 
 
 def relabel(dataset, seed, frac):

@@ -3,7 +3,7 @@ import re
 from collections import Counter
 
 import pytest
-from conftest import random_grammar
+from conftest import assert_refinement_record, random_grammar
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -314,8 +314,7 @@ class TestRefineProperties:
             parent_text = _text(induce_body(t, sel))
             children = refine(t, sel)
             for child in children:
-                assert child.body == induce_body(t, child.sel)
-                assert child.text == _text(child.body)
+                assert_refinement_record(t, sel, child)
                 assert child.text != parent_text
             # sorted by the tuple of sorted literal texts, then by picks
             keys = [(tuple(sorted(map(str, c.body))), c.sel.picks)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from conftest import DEFAULT_CONSTRAINTS, random_two_source
@@ -13,7 +14,7 @@ from relic.data import Dataset, Interpretation
 from relic.dlab import template_text
 from relic.evaluate import (MODES, comp_metric, cross_validate,
                             emit_report, make_folds)
-from relic.logic import clause, lit
+from relic.logic import body_key, clause, lit
 from relic.multisource import biased_multisource_learn
 from relic.synth import cardiac_schema
 
@@ -289,6 +290,21 @@ def _passes(result):
                                  *result.mono.items())}
 
 
+def _rule_pairs(result):
+    """The (h1, h2) rule pairs a pipeline run interleaved, one per use:
+    each class's monosource rules paired across the two sources, the empty
+    hypothesis standing in for a source with none."""
+    return [pair for label in result.bottoms
+            for pair in product(*(result.mono[s].clauses_for(label)
+                                  or [clause(label)] for s in result.mono))]
+
+
+def _bottom_keys(result):
+    """A pipeline run's bottom clauses per class, as body keys in order."""
+    return {label: [body_key(bt.clause.body) for bt in bts]
+            for label, bts in result.bottoms.items()}
+
+
 class TestSmallPipelineCrossval:
     """2 examples per class, 2 folds: exercises the full biased CV path."""
 
@@ -352,13 +368,61 @@ class TestSmallPipelineCrossval:
         assert distinct.keys() == {id(t) for t in ds.templates.values()}
         assert ds.restrict([1, 2]).templates is ds.templates
 
+        assert sum(r.biases_compiled for r in runs) == len(ds.templates)
+
         again = biased_multisource_learn(ds, biases, constraints)
+        assert again.biases_compiled == 0
         assert len(ds.templates) == len(distinct)
         assert all(id(t) in distinct for t in again.class_biases.values())
         fresh = biased_multisource_learn(generate_dataset(config),
                                          monosource_biases("full"),
                                          constraints)
         assert _passes(again) == _passes(fresh)
+
+    def test_folds_share_bottom_clauses(self, monkeypatch):
+        """A rule pair's bottom clauses are built once per dataset family:
+        over a 3-fold biased cross-validation each distinct pair is built
+        by one run, every restriction shares the dataset's table, and each
+        run holds the bottom clauses a pipeline on fresh data builds."""
+        config = GeneratorConfig(seed=2, per_class=2)
+        constraints = [InterleavingConstraint("ABP", "dias", "sys")]
+        ds = generate_dataset(config)
+        runs = []
+        learn = evaluate.biased_multisource_learn
+
+        def keep(dataset, *args, **kwargs):
+            assert dataset.bottoms is ds.bottoms
+            result = learn(dataset, *args, **kwargs)
+            runs.append((dataset.situations(), result))
+            return result
+
+        monkeypatch.setattr(evaluate, "biased_multisource_learn", keep)
+        cross_validate(ds, "biased", 3, biases=monosource_biases("full"),
+                       constraints=constraints)
+        assert len(runs) == 4
+        pairs = [pair for _, r in runs for pair in _rule_pairs(r)]
+        assert sum(r.pairs_built for _, r in runs) == len(set(pairs)) \
+            == len(ds.bottoms) < len(pairs)
+        for situations, r in runs:
+            fresh = biased_multisource_learn(
+                generate_dataset(config).restrict(situations),
+                monosource_biases("full"), constraints)
+            assert _bottom_keys(r) == _bottom_keys(fresh)
+
+    def test_bottom_clause_table_keys_on_constraints(self):
+        """One dataset run first with no constraints, then with one, gives
+        each run the bottom clauses a fresh dataset gives under its list."""
+        config = GeneratorConfig(seed=2, per_class=2)
+        ds = generate_dataset(config)
+        wants = []
+        for cons in ([], [InterleavingConstraint("ABP", "dias", "sys")]):
+            got = biased_multisource_learn(ds, monosource_biases("full"), cons)
+            fresh = biased_multisource_learn(generate_dataset(config),
+                                             monosource_biases("full"), cons)
+            assert got.pairs_built == fresh.pairs_built > 0
+            assert _bottom_keys(got) == _bottom_keys(fresh)
+            wants.append(_bottom_keys(fresh))
+        assert wants[0] != wants[1]  # the constraint removes some
 
     def test_search_counters_pinned(self, monkeypatch):
         """The search counters of a seed-1 5-fold biased cross-validation,

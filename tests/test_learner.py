@@ -2,14 +2,15 @@ import random
 from functools import cache
 
 import pytest
-from conftest import (fresh_index_covers, random_grammar,
+from conftest import (DEFAULT_CONSTRAINTS, assert_refinement_record,
+                      fresh_index_covers, random_grammar,
                       random_ground_facts, relabel)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import brute_covers, reference_learn_class
 
-from relic import (GeneratorConfig, UsageError, generate_dataset,
-                   monosource_biases, naive_bias)
+from relic import (GeneratorConfig, UsageError, biased_multisource_learn,
+                   generate_dataset, monosource_biases, naive_bias)
 from relic.data import Interpretation
 from relic.dlab import (Refinement, choice, compile_template, inline, literal,
                         refine, start_selection)
@@ -185,6 +186,26 @@ def test_refinement_coverage_monotone():
                     assert cov <= parent_cov
                 nxt.append((child.sel, cov))
         frontier = nxt
+
+
+def test_pipeline_refinements_match_fresh_walks():
+    """Every child refine handed a seed-1 biased pipeline, on the two
+    monosource biases and every class bias, holds what fresh walks of the
+    template give (assert_refinement_record)."""
+    ds = generate_dataset(GeneratorConfig(seed=1, per_class=3))
+    biases = monosource_biases("full")
+    result = biased_multisource_learn(ds, biases, DEFAULT_CONSTRAINTS)
+    templates = [biases["ECG"], biases["ABP"],
+                 *result.class_biases.values()]
+    kinds = set()
+    for t in templates:
+        assert t._children  # every template was refined
+        for sel, children in t._children.items():
+            for child in children:
+                assert_refinement_record(t, sel, child)
+                kinds.add((bool(sel.picks), child.additive))
+    # extensions of reached selections and completions of the start one
+    assert {(True, True), (False, True)} <= kinds
 
 
 def _fresh(examples):
